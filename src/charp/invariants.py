@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .poly import (Poly, PolyRing, RatFunc, factor_univariate, poly_divmod_1var,
-                   poly_exact_div)
+from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
+                   poly_divmod_1var, poly_exact_div, poly_inv_mod, poly_valuation)
 
 
 class BackendError(ValueError):
@@ -80,17 +80,7 @@ def valuation(x: RatFunc, place: Place) -> int:
         raise ValueError("the zero function has no finite valuation")
     if place.is_infinite:
         return x.den.degree_in(0) - x.num.degree_in(0)
-    return _poly_val(x.num, place.pi) - _poly_val(x.den, place.pi)
-
-
-def _poly_val(f: Poly, pi: Poly) -> int:
-    v = 0
-    while True:
-        q, r = poly_divmod_1var(f, pi)
-        if not r.is_zero():
-            return v
-        f = q
-        v += 1
+    return poly_valuation(x.num, place.pi)[0] - poly_valuation(x.den, place.pi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +99,8 @@ class ResidueField:
     def reduce(self, f: Poly) -> Poly:
         return poly_divmod_1var(f, self.pi)[1]
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a * b)
-
-    def inv(self, a: Poly) -> Poly:
-        r0, r1 = self.pi, self.reduce(a)
-        s0, s1 = self.ring.zero(), self.ring.one()
-        while not r1.is_zero():
-            q, r = poly_divmod_1var(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree_in(0) != 0:
-            raise ZeroDivisionError("non-unit modulo the place")
-        return self.reduce(s0.scale(self.base.inv(r0.constant_value())))
-
     def pow(self, a: Poly, n: int) -> Poly:
-        out = self.ring.one()
-        base = self.reduce(a)
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return _powmod_poly(a, n, self.pi)
 
     def pth_root(self, a: Poly) -> Poly:
         return self.pow(a, self.base.p ** (self.base.d * self.e - 1))
@@ -179,20 +148,10 @@ class _Completion:
         x = self.res.ring.var(self.res.ring.variables[0])
         x = self._mod(x)
         while True:
-            nxt = self._powmod(x, qe)
+            nxt = _powmod_poly(x, qe, self.modulus)
             if nxt == x:
                 return x
             x = nxt
-
-    def _powmod(self, f: Poly, n: int) -> Poly:
-        out = self.res.ring.one()
-        base = self._mod(f)
-        while n:
-            if n & 1:
-                out = self._mod(out * base)
-            base = self._mod(base * base)
-            n >>= 1
-        return out
 
     def lift_residue(self, c: Poly) -> Poly:
         """Evaluate a residue representative at the multiplicative lift."""
@@ -224,40 +183,17 @@ def laurent_digits(x: RatFunc, place: Place, upto: int) -> Dict[int, Poly]:
         x = _flip_to_infinity(x)
         place = Place(x.ring.var(x.ring.variables[0]))
     pi = place.pi
-    vn, n_unit = _strip(x.num, pi)
-    vd, d_unit = _strip(x.den, pi)
+    vn, n_unit = poly_valuation(x.num, pi)
+    vd, d_unit = poly_valuation(x.den, pi)
     v = vn - vd
     count = upto - v
     if count <= 0:
         return {}
     comp = _Completion(pi, count)
-    inv_d = _inv_mod_power(d_unit, pi, count)
+    inv_d = poly_inv_mod(d_unit, comp.modulus)
     unit = poly_divmod_1var(n_unit * inv_d, comp.modulus)[1]
     digits = comp.digits(unit, count)
     return {v + i: c for i, c in enumerate(digits) if not c.is_zero()}
-
-
-def _strip(f: Poly, pi: Poly) -> Tuple[int, Poly]:
-    v = 0
-    while True:
-        q, r = poly_divmod_1var(f, pi)
-        if not r.is_zero():
-            return v, f
-        f = q
-        v += 1
-
-
-def _inv_mod_power(f: Poly, pi: Poly, n: int) -> Poly:
-    modulus = pi ** n
-    r0, r1 = modulus, poly_divmod_1var(f, modulus)[1]
-    s0, s1 = f.ring.zero(), f.ring.one()
-    while not r1.is_zero():
-        q, r = poly_divmod_1var(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree_in(0) != 0:
-        raise ArithmeticError("non-unit at the place")
-    return poly_divmod_1var(s0.scale(f.ring.field.inv(r0.constant_value())), modulus)[1]
 
 
 def _flip_to_infinity(x: RatFunc) -> RatFunc:
@@ -505,21 +441,9 @@ def _poly_crt(pairs: List[Tuple[Poly, Poly]]) -> Poly:
     out = ring.zero()
     for pi, rep in pairs:
         other = poly_exact_div(modulus, pi)
-        inv = _crt_inv(other, pi)
+        inv = poly_inv_mod(other, pi)
         out = out + rep * other * inv
     return poly_divmod_1var(out, modulus)[1]
-
-
-def _crt_inv(a: Poly, m: Poly) -> Poly:
-    r0, r1 = m, poly_divmod_1var(a, m)[1]
-    s0, s1 = a.ring.zero(), a.ring.one()
-    while not r1.is_zero():
-        q, r = poly_divmod_1var(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree_in(0) != 0:
-        raise ArithmeticError("moduli are not coprime")
-    return poly_divmod_1var(s0.scale(a.ring.field.inv(r0.constant_value())), m)[1]
 
 
 def realize_pairs(vector: InvariantVector, ring: PolyRing,

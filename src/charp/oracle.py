@@ -17,12 +17,10 @@ prescribed vector, optionally through prescribed radical slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import towers as tw
-from .invariants import (BackendError, InvariantVector, Place, RealizeError,
-                         index_exponent, local_invariant, realize_pairs,
-                         support_places, symbol_vector)
+from .invariants import BackendError, InvariantVector, realize_pairs, symbol_vector
 from .rationalize import Rationalization, rationalize_level
 from .symbols import BrauerExpr, Symbol, normalize_symbol
 from .textform import format_place
@@ -47,15 +45,6 @@ def expr_invariants(expr: BrauerExpr) -> InvariantVector:
         b = rz.forward(s.b)
         out = out + symbol_vector(a, b, p)
     return out
-
-
-def symbol_invariants(s: Symbol) -> InvariantVector:
-    return expr_invariants(BrauerExpr(s.tower, s.level, [s]))
-
-
-def local_invariant_of(s: Symbol, place: Place) -> int:
-    rz = backend_for(s.tower, s.level)
-    return local_invariant(rz.forward(s.a), rz.forward(s.b), place)
 
 
 @dataclass
@@ -158,10 +147,6 @@ def expr_is_split(expr: BrauerExpr, strategy: str = "auto",
         vector.entries[place], vector.p, format_place(place)), vector=vector)
 
 
-def expr_index_exponent(expr: BrauerExpr) -> Tuple[int, int]:
-    return index_exponent(expr_invariants(expr))
-
-
 def realize(vector: InvariantVector, tower: tw.FieldTower, level: int = 0,
             b_slots: Optional[List[tw.Elem]] = None) -> BrauerExpr:
     """An expression over the given level whose invariant vector is exactly
@@ -185,8 +170,3 @@ def realize(vector: InvariantVector, tower: tw.FieldTower, level: int = 0,
     if check != vector:
         raise AssertionError("realized expression failed its invariant round-trip")
     return out
-
-
-def consistency_check(s: Symbol, degree_bound: int = 4) -> None:
-    """Assert the two decision routes never contradict each other."""
-    is_split(s, "both", degree_bound)

@@ -1,14 +1,24 @@
-"""Multivariate polynomials and reduced rational functions over GF(p^d).
+"""Polynomials, reduced rational functions and the dense univariate kernel.
 
 Polynomials are finitely supported maps monomial -> nonzero coefficient,
 where a monomial is a tuple of exponents matching the ring's variable list.
 Printing, leading terms and tie-breaks all use graded lexicographic order.
 
 Rational functions are kept in reduced normal form: numerator and
-denominator coprime, denominator's leading coefficient equal to one.  In one
-variable the gcd is the ordinary Euclidean one; in several variables it is
-computed by content / primitive-part recursion, which is all the reduction
-this package ever needs (no general multivariate factorization).
+denominator coprime, denominator's leading coefficient equal to one.  In
+several variables the gcd is computed by content / primitive-part
+recursion, which is all the reduction this package ever needs (no general
+multivariate factorization).
+
+The dense kernel, the ``_upoly_*`` functions, is the only univariate
+arithmetic beyond sums: every univariate product, division, gcd, inverse,
+power, valuation and resultant runs on it.  It works on coefficient lists,
+low degree first, over any field object with ``zero``, ``one``,
+``is_zero``, ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  A
+:class:`FiniteField` drives it for GF(q)[t], through the ``Poly`` functions
+below and the residue and completion code of the invariant oracle; a tower
+``LevelOps`` drives it for polynomials over the level below (products,
+inverses, norms).
 """
 
 from __future__ import annotations
@@ -129,6 +139,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if self.ring.nvars == 1:
+            return _sparse(self.ring, _upoly_mul(self.ring.field, _dense(self), _dense(other)))
         field = self.ring.field
         out: Dict[Monomial, FFElem] = {}
         for m1, c1 in self.terms.items():
@@ -232,33 +244,190 @@ def _generic_pow(x, e, one, mul):
 
 
 # ---------------------------------------------------------------------------
-# division and gcd
+# the dense univariate kernel
 # ---------------------------------------------------------------------------
+#
+# Results are trimmed (no zero leading coefficient; the zero polynomial is
+# []).  Inputs may be untrimmed and are never modified.
+
+def _upoly_trim(ops, a: list) -> list:
+    """Drop zero leading coefficients of a, in place; returns a."""
+    is_zero = ops.is_zero
+    while a and is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _upoly_mul(ops, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    out = [ops.zero] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    for i, x in enumerate(a):
+        if is_zero(x):
+            continue
+        for j, y in b_terms:
+            out[i + j] = add(out[i + j], mul(x, y))
+    return _upoly_trim(ops, out)
+
+
+def _upoly_sub(ops, a: list, b: list) -> list:
+    zero = ops.zero
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else zero
+        y = b[i] if i < len(b) else zero
+        out.append(ops.sub(x, y))
+    return _upoly_trim(ops, out)
+
+
+def _upoly_divmod(ops, a: list, b: list) -> Tuple[list, list]:
+    """(q, r) with a = q*b + r and deg r < deg b."""
+    b = _upoly_trim(ops, list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = _upoly_trim(ops, list(a))
+    db = len(b) - 1
+    if len(r) <= db:
+        return [], r
+    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    inv_lead = None if b[-1] == ops.one else ops.inv(b[-1])
+    tail = [(j, c) for j, c in enumerate(b[:db]) if not is_zero(c)]
+    q = [ops.zero] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
+        if is_zero(c):
+            continue
+        if inv_lead is not None:
+            c = mul(c, inv_lead)
+        q[k] = c
+        for j, bj in tail:
+            r[k + j] = sub(r[k + j], mul(c, bj))
+    return q, _upoly_trim(ops, r[:db])
+
+
+def _upoly_gcd(ops, a: list, b: list) -> list:
+    """Monic gcd ([] when both are zero)."""
+    a, b = _upoly_trim(ops, list(a)), _upoly_trim(ops, list(b))
+    while b:
+        a, b = b, _upoly_divmod(ops, a, b)[1]
+    if not a or a[-1] == ops.one:
+        return a
+    c = ops.inv(a[-1])
+    return [ops.mul(c, x) for x in a]
+
+
+def _upoly_gcdex(ops, a: list, b: list) -> Tuple[list, list, list]:
+    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic or empty."""
+    r0, r1 = _upoly_trim(ops, list(a)), _upoly_trim(ops, list(b))
+    u0, u1 = [ops.one], []
+    v0, v1 = [], [ops.one]
+    while r1:
+        q, r = _upoly_divmod(ops, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _upoly_sub(ops, u0, _upoly_mul(ops, q, u1))
+        v0, v1 = v1, _upoly_sub(ops, v0, _upoly_mul(ops, q, v1))
+    if r0:
+        scale = [ops.inv(r0[-1])]
+        r0 = _upoly_mul(ops, r0, scale)
+        u0 = _upoly_mul(ops, u0, scale)
+        v0 = _upoly_mul(ops, v0, scale)
+    return r0, u0, v0
+
+
+def _upoly_inv_mod(ops, a: list, m: list) -> list:
+    """u with u*a = 1 modulo m and deg u < deg m; ZeroDivisionError when a
+    is not a unit modulo m."""
+    g, u, _ = _upoly_gcdex(ops, _upoly_divmod(ops, a, m)[1], m)
+    if len(g) != 1:
+        raise ZeroDivisionError("not invertible modulo the polynomial")
+    return _upoly_divmod(ops, u, m)[1]
+
+
+def _upoly_powmod(ops, a: list, e: int, m: list) -> list:
+    """a^e modulo m, for e >= 0."""
+    result = [ops.one]
+    base = _upoly_divmod(ops, a, m)[1]
+    while e:
+        if e & 1:
+            result = _upoly_divmod(ops, _upoly_mul(ops, result, base), m)[1]
+        e >>= 1
+        if e:
+            base = _upoly_divmod(ops, _upoly_mul(ops, base, base), m)[1]
+    return result
+
+
+def _upoly_valuation(ops, f: list, pi: list) -> Tuple[int, list]:
+    """(v, u) with f = pi^v * u and pi not dividing u, for nonzero f."""
+    u = _upoly_trim(ops, list(f))
+    if not u:
+        raise ValueError("the zero polynomial has no finite valuation")
+    v = 0
+    while True:
+        q, r = _upoly_divmod(ops, u, pi)
+        if r:
+            return v, u
+        u, v = q, v + 1
+
+
+def _upoly_resultant(ops, f: list, g: list):
+    """Resultant of two polynomials over a field, by Euclidean reduction."""
+    f = _upoly_trim(ops, list(f))
+    g = _upoly_trim(ops, list(g))
+    if not f or not g:
+        return ops.zero
+    res = ops.one
+    while True:
+        df, dg = len(f) - 1, len(g) - 1
+        if dg == 0:
+            return ops.mul(res, ops.pow(g[0], df))
+        _, r = _upoly_divmod(ops, f, g)
+        if not r:
+            return ops.zero
+        dr = len(r) - 1
+        res = ops.mul(res, ops.pow(g[-1], df - dr))
+        if df % 2 and dg % 2:
+            res = ops.neg(res)
+        f, g = g, r
+
+
+# ---------------------------------------------------------------------------
+# univariate Poly operations on the kernel
+# ---------------------------------------------------------------------------
+
+def _dense(f: Poly) -> list:
+    """Coefficients of a univariate polynomial, low degree first."""
+    if not f.terms:
+        return []
+    out = [f.ring.field.zero] * (max(f.terms)[0] + 1)
+    for (e,), c in f.terms.items():
+        out[e] = c
+    return out
+
+
+def _sparse(ring: PolyRing, coeffs: list) -> Poly:
+    return Poly(ring, {(e,): c for e, c in enumerate(coeffs)})
+
 
 def poly_divmod_1var(f: Poly, g: Poly) -> Tuple[Poly, Poly]:
     """Euclidean division in one variable (ring must be univariate)."""
     ring = f.ring
     if ring.nvars != 1:
         raise ValueError("univariate division on a multivariate ring")
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    field = ring.field
-    inv_lead = field.inv(g.leading_coeff())
-    dg = g.degree_in(0)
-    q: Dict[Monomial, FFElem] = {}
-    r = f
-    while not r.is_zero() and r.degree_in(0) >= dg:
-        dr = r.degree_in(0)
-        c = field.mul(r.terms[(dr,)], inv_lead)
-        q[(dr - dg,)] = c
-        shift = Poly(ring, {(dr - dg,): c})
-        r = r - shift * g
-    return Poly(ring, q), r
+    q, r = _upoly_divmod(ring.field, _dense(f), _dense(g))
+    return _sparse(ring, q), _sparse(ring, r)
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
     """Exact division f / g; raises ArithmeticError if g does not divide f."""
     ring = f.ring
+    if ring.nvars == 1:
+        q, r = _upoly_divmod(ring.field, _dense(f), _dense(g))
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        return _sparse(ring, q)
     field = ring.field
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -278,13 +447,19 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
 
 
 def _gcd_1var(a: Poly, b: Poly) -> Poly:
-    field = a.ring.field
-    while not b.is_zero():
-        _, r = poly_divmod_1var(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scale(field.inv(a.leading_coeff()))
+    return _sparse(a.ring, _upoly_gcd(a.ring.field, _dense(a), _dense(b)))
+
+
+def poly_inv_mod(a: Poly, m: Poly) -> Poly:
+    """The inverse of a modulo m, of degree below m's; ZeroDivisionError
+    (an ArithmeticError) when a is not a unit modulo m.  Univariate."""
+    return _sparse(a.ring, _upoly_inv_mod(a.ring.field, _dense(a), _dense(m)))
+
+
+def poly_valuation(f: Poly, pi: Poly) -> Tuple[int, Poly]:
+    """(v, u) with f = pi^v * u and pi not dividing u.  Univariate, f nonzero."""
+    v, u = _upoly_valuation(f.ring.field, _dense(f), _dense(pi))
+    return v, _sparse(f.ring, u)
 
 
 def _coeff_map(f: Poly, var_index: int) -> Dict[int, Poly]:
@@ -509,14 +684,8 @@ def normalize(num: Poly, den: Poly) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 def _powmod_poly(base: Poly, e: int, mod: Poly) -> Poly:
-    result = base.ring.one()
-    b = poly_divmod_1var(base, mod)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod_1var(result * b, mod)[1]
-        b = poly_divmod_1var(b * b, mod)[1]
-        e >>= 1
-    return result
+    ring = base.ring
+    return _sparse(ring, _upoly_powmod(ring.field, _dense(base), e, _dense(mod)))
 
 
 def _random_poly(ring: PolyRing, max_deg: int, rng: random.Random) -> Poly:
@@ -605,12 +774,6 @@ def factor_univariate(f: Poly, seed: int = 0) -> Tuple[FFElem, Dict[Poly, int]]:
             continue
         sqf = _normalize_lead(poly_exact_div(f, poly_gcd(f, deriv)))
         for irr in _split_squarefree(sqf, rng):
-            k = 0
-            while True:
-                q, r = poly_divmod_1var(f, irr)
-                if not r.is_zero():
-                    break
-                f = q
-                k += 1
+            k, f = poly_valuation(f, irr)
             factors[irr] = factors.get(irr, 0) + k * mult
     return lc, factors

@@ -247,16 +247,6 @@ def _reduce_radical_univariate(b: Elem) -> Tuple[Elem, Elem]:
 # expression-level rewriting
 # ---------------------------------------------------------------------------
 
-class StepRecorder:
-    """Minimal recorder protocol: collect (kind, before, after, witness)."""
-
-    def __init__(self):
-        self.steps: List[tuple] = []
-
-    def record(self, kind: str, before: BrauerExpr, after: BrauerExpr, witness: dict):
-        self.steps.append((kind, before, after, witness))
-
-
 def _record(recorder, kind, before, after, witness):
     if recorder is not None:
         recorder.record(kind, before, after, witness)

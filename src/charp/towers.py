@@ -18,7 +18,9 @@ from itertools import product as _iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
-from .poly import Poly, PolyRing, RatFunc, factor_univariate, poly_divmod_1var
+from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
+                   poly_divmod_1var, poly_exact_div, poly_inv_mod, _upoly_divmod,
+                   _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -139,43 +141,33 @@ class LevelOps:
     def __init__(self, tower: FieldTower, level: int):
         self.tower = tower
         self.level = level
+        self._minpoly = None
         if level == 0:
             self._lower = None
             self.step = None
-            self._minpoly = None
+            self.zero = RatFunc.zero(tower.ring)
+            self.one = RatFunc.one(tower.ring)
         else:
-            self._lower = _ops(tower, level - 1)
+            low = self._lower = _ops(tower, level - 1)
             self.step = tower.step_at(level)
-            self._minpoly = None
+            self.zero = (low.zero,) * self.step.degree
+            self.one = self.lift(low.one)
 
     # representation helpers ------------------------------------------------
 
-    def zero(self):
-        if self.level == 0:
-            return RatFunc.zero(self.tower.ring)
-        return (self._lower.zero(),) * self.step.degree
-
-    def one(self):
-        if self.level == 0:
-            return RatFunc.one(self.tower.ring)
-        return (self._lower.one(),) + (self._lower.zero(),) * (self.step.degree - 1)
-
     def lift(self, lower_rep):
         """Embed a level-(k-1) representation into level k."""
-        return (lower_rep,) + (self._lower.zero(),) * (self.step.degree - 1)
+        return (lower_rep,) + (self._lower.zero,) * (self.step.degree - 1)
 
     def gen_rep(self):
         e = self.step.degree
-        return ((self._lower.zero(), self._lower.one())
-                + (self._lower.zero(),) * (e - 2))
+        return ((self._lower.zero, self._lower.one)
+                + (self._lower.zero,) * (e - 2))
 
     def is_zero(self, a) -> bool:
         if self.level == 0:
             return a.is_zero()
         return all(self._lower.is_zero(c) for c in a)
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def minpoly_lower(self) -> list:
         """Defining polynomial coefficients (little-endian, monic) over the
@@ -186,10 +178,10 @@ class LevelOps:
         step = self.step
         p = self.tower.p
         if step.kind == "artin_schreier":
-            coeffs = [low.neg(step.data.rep)] + [low.zero()] * (p - 1) + [low.one()]
-            coeffs[1] = low.sub(coeffs[1], low.one())
+            coeffs = [low.neg(step.data.rep)] + [low.zero] * (p - 1) + [low.one]
+            coeffs[1] = low.sub(coeffs[1], low.one)
         elif step.kind == "insep_root":
-            coeffs = [low.neg(step.data.rep)] + [low.zero()] * (p - 1) + [low.one()]
+            coeffs = [low.neg(step.data.rep)] + [low.zero] * (p - 1) + [low.one]
         else:
             coeffs = list(step.data)
         self._minpoly = coeffs
@@ -216,48 +208,22 @@ class LevelOps:
         if self.level == 0:
             return a * b
         low = self._lower
-        e = self.step.degree
-        conv = [low.zero()] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if low.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if low.is_zero(y):
-                    continue
-                conv[i + j] = low.add(conv[i + j], low.mul(x, y))
-        return self._reduce(conv)
-
-    def _reduce(self, coeffs: list):
-        low = self._lower
-        e = self.step.degree
-        minpoly = self.minpoly_lower()
-        for d in range(len(coeffs) - 1, e - 1, -1):
-            c = coeffs[d]
-            if low.is_zero(c):
-                continue
-            coeffs[d] = low.zero()
-            # g^d = g^(d-e) * g^e with g^e = -(lower part of the step polynomial)
-            for j in range(e):
-                term = low.mul(c, low.neg(minpoly[j]))
-                coeffs[d - e + j] = low.add(coeffs[d - e + j], term)
-        return tuple(coeffs[:e])
+        prod = _upoly_divmod(low, _upoly_mul(low, a, b), self.minpoly_lower())[1]
+        return tuple(prod) + (low.zero,) * (self.step.degree - len(prod))
 
     def inv(self, a):
         if self.level == 0:
             if a.is_zero():
                 raise ZeroDivisionError("inverse of zero in the base field")
             return a.inv()
-        low = self._lower
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero at level %d" % self.level)
-        g, u, _ = upoly_gcdex(low, list(a), self.minpoly_lower())
-        if len(g) != 1:
+        try:
+            out = _upoly_inv_mod(self._lower, list(a), self.minpoly_lower())
+        except ZeroDivisionError:
             raise ArithmeticError(
-                "step relation is reducible; tower arithmetic is inconsistent")
-        ginv = low.inv(g[0])
-        out = [low.mul(ginv, c) for c in u]
-        out += [low.zero()] * (self.step.degree - len(out))
-        return tuple(out[: self.step.degree])
+                "step relation is reducible; tower arithmetic is inconsistent") from None
+        return tuple(out) + (self._lower.zero,) * (self.step.degree - len(out))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -265,7 +231,7 @@ class LevelOps:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one()
+        result = self.one
         base = a
         while n:
             if n & 1:
@@ -278,96 +244,6 @@ class LevelOps:
         if self.level == 0:
             return RatFunc.from_poly(self.tower.ring.from_int(n))
         return self.lift(self._lower.from_int(n))
-
-
-# ---------------------------------------------------------------------------
-# generic dense univariate arithmetic over a LevelOps field
-# ---------------------------------------------------------------------------
-
-def upoly_trim(ops, a: list) -> list:
-    while a and ops.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def upoly_mul(ops, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [ops.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ops.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ops.add(out[i + j], ops.mul(x, y))
-    return upoly_trim(ops, out)
-
-
-def upoly_sub(ops, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ops.zero()
-        y = b[i] if i < len(b) else ops.zero()
-        out.append(ops.sub(x, y))
-    return upoly_trim(ops, out)
-
-
-def upoly_divmod(ops, a: list, b: list) -> Tuple[list, list]:
-    a = upoly_trim(ops, list(a))
-    b = upoly_trim(ops, list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = ops.inv(b[-1])
-    q = [ops.zero()] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b):
-        c = ops.mul(r[-1], inv_lead)
-        shift = len(r) - len(b)
-        q[shift] = ops.add(q[shift], c)
-        for j, bj in enumerate(b):
-            r[shift + j] = ops.sub(r[shift + j], ops.mul(c, bj))
-        r = upoly_trim(ops, r)
-    return upoly_trim(ops, q), r
-
-
-def upoly_gcdex(ops, a: list, b: list) -> Tuple[list, list, list]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic or empty."""
-    r0, r1 = upoly_trim(ops, list(a)), upoly_trim(ops, list(b))
-    u0, u1 = [ops.one()], []
-    v0, v1 = [], [ops.one()]
-    while r1:
-        q, r = upoly_divmod(ops, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, upoly_sub(ops, u0, upoly_mul(ops, q, u1))
-        v0, v1 = v1, upoly_sub(ops, v0, upoly_mul(ops, q, v1))
-    if r0:
-        scale = [ops.inv(r0[-1])]
-        r0 = upoly_mul(ops, r0, scale)
-        u0 = upoly_mul(ops, u0, scale)
-        v0 = upoly_mul(ops, v0, scale)
-    return r0, u0, v0
-
-
-def upoly_resultant(ops, f: list, g: list):
-    """Resultant of two polynomials over a field, by Euclidean reduction."""
-    f = upoly_trim(ops, list(f))
-    g = upoly_trim(ops, list(g))
-    if not f or not g:
-        return ops.zero()
-    res = ops.one()
-    track_sign = (ops.tower.p != 2)
-    while True:
-        df, dg = len(f) - 1, len(g) - 1
-        if dg == 0:
-            return ops.mul(res, ops.pow(g[0], df))
-        _, r = upoly_divmod(ops, f, g)
-        if not r:
-            return ops.zero()
-        dr = len(r) - 1
-        res = ops.mul(res, ops.pow(g[-1], df - dr))
-        if track_sign and (df % 2) and (dg % 2):
-            res = ops.neg(res)
-        f, g = g, r
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +432,7 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         if degree < 2:
             raise StepError("simple step needs degree >= 2")
         ops = _ops(tower, tower.depth)
-        if not ops.eq(coeffs[-1].rep, ops.one()):
+        if coeffs[-1].rep != ops.one:
             raise StepError("simple step polynomial must be monic")
         if _has_root_at_level(tower, coeffs) or degree > 3:
             if degree > 3:
@@ -594,7 +470,7 @@ def _has_root_at_level(tower: FieldTower, coeffs: List[Elem]) -> bool:
     reps = [c.rep for c in coeffs]
 
     def value_at(rep):
-        acc = ops.zero()
+        acc = ops.zero
         for c in reversed(reps):
             acc = ops.add(ops.mul(acc, rep), c)
         return ops.is_zero(acc)
@@ -618,7 +494,7 @@ def _rational_root_candidates(tower: FieldTower, coeffs: List[Elem]):
     den_lcm = ring.one()
     for c in coeffs:
         den_lcm = den_lcm * c.rep.den
-    cleared = [c.rep.num * poly_exact_div_total(den_lcm, c.rep.den) for c in coeffs]
+    cleared = [c.rep.num * poly_exact_div(den_lcm, c.rep.den) for c in coeffs]
     c0, lead = cleared[0], cleared[-1]
     if c0.is_zero():
         yield Elem(tower, 0, RatFunc.zero(ring))
@@ -631,11 +507,6 @@ def _rational_root_candidates(tower: FieldTower, coeffs: List[Elem]):
             for c in consts:
                 yield Elem(tower, 0, RatFunc(n.scale(c), d))
     yield Elem(tower, 0, RatFunc.zero(ring))
-
-
-def poly_exact_div_total(a: Poly, b: Poly) -> Poly:
-    from .poly import poly_exact_div
-    return poly_exact_div(a, b)
 
 
 def _monic_divisors(f: Poly) -> List[Poly]:
@@ -983,40 +854,18 @@ def _polynomial_part(x: RatFunc) -> Tuple[Poly, RatFunc]:
 
 def _leading_digit(x: RatFunc, pi: Poly, mult: int) -> Poly:
     """(x * pi^mult) mod pi: the leading expansion digit at the place pi."""
-    from .poly import poly_exact_div
     den = x.den
     for _ in range(mult):
         den = poly_exact_div(den, pi)
     num_red = poly_divmod_1var(x.num, pi)[1]
-    inv = _inverse_mod(den, pi)
+    inv = poly_inv_mod(den, pi)
     return poly_divmod_1var(num_red * inv, pi)[1]
-
-
-def _inverse_mod(a: Poly, m: Poly) -> Poly:
-    r0, r1 = m, poly_divmod_1var(a, m)[1]
-    s0, s1 = a.ring.zero(), a.ring.one()
-    while not r1.is_zero():
-        q, r = poly_divmod_1var(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree_in(0) != 0:
-        raise ArithmeticError("element not invertible modulo the place")
-    return poly_divmod_1var(s0.scale(a.ring.field.inv(r0.constant_value())), m)[1]
 
 
 def _residue_pth_root(pi: Poly, rep: Poly) -> Poly:
     """p-th root in the residue field GF(q)[x]/(pi), as a representative."""
     field = pi.ring.field
-    e = pi.degree_in(0)
-    n = field.p ** (field.d * e - 1)
-    out = pi.ring.one()
-    base = poly_divmod_1var(rep, pi)[1]
-    while n:
-        if n & 1:
-            out = poly_divmod_1var(out * base, pi)[1]
-        base = poly_divmod_1var(base * base, pi)[1]
-        n >>= 1
-    return out
+    return _powmod_poly(rep, field.p ** (field.d * pi.degree_in(0) - 1), pi)
 
 
 def _as_preimage_multivariate(tower: FieldTower, x: RatFunc) -> Optional[Elem]:
@@ -1146,7 +995,7 @@ def min_poly(x: Elem, down_to: int) -> List[Elem]:
     index = {v: i for i, v in enumerate(basis)}
 
     def coord_vector(y: Elem):
-        vec = [ops_low.zero()] * dim
+        vec = [ops_low.zero] * dim
         for key, rep in _coordinates(y, down_to).items():
             vec[index[key]] = rep
         return vec
@@ -1155,8 +1004,8 @@ def min_poly(x: Elem, down_to: int) -> List[Elem]:
     powers = [int_elem(tower, x.level, 1)]
     while True:
         target = coord_vector(powers[-1])
-        comb = [ops_low.zero()] * len(powers)
-        comb[-1] = ops_low.one()
+        comb = [ops_low.zero] * len(powers)
+        comb[-1] = ops_low.one
         for pivot, row, rcomb in rows:
             c = target[pivot]
             if ops_low.is_zero(c):
@@ -1187,8 +1036,8 @@ def norm(x: Elem, down_to: int = 0) -> Elem:
     for lvl in range(x.level, down_to, -1):
         ops = _ops(tower, lvl)
         low = ops._lower
-        g = upoly_trim(low, list(cur.rep))
-        res = upoly_resultant(low, ops.minpoly_lower(), g)
+        g = _upoly_trim(low, list(cur.rep))
+        res = _upoly_resultant(low, ops.minpoly_lower(), g)
         cur = Elem(tower, lvl - 1, res)
     return cur
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp.ffield import FiniteField, canonical_modulus
+from charp.ffield import (TABLE_LIMIT, FiniteField, _fp_mulmod, _fp_powmod,
+                          canonical_modulus)
 
 
 def test_canonical_moduli_are_deterministic():
@@ -73,3 +74,42 @@ def test_f9_commutativity(i, j):
     a, b = elems[i], elems[j]
     assert F.mul(a, b) == F.mul(b, a)
     assert F.add(a, b) == F.add(b, a)
+
+
+def _reference(F, coeffs):
+    return tuple(coeffs) + (0,) * (F.d - len(coeffs))
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
+def test_tables_match_modulus_reduction(p, d):
+    # In GF(9) and GF(49) the generator g has order 4, so tables built from
+    # powers of g would miss most of the field.
+    F = FiniteField(p, d)
+    mod = list(F.modulus)
+    elems = list(F.elements())
+    for a in elems:
+        for b in elems:
+            assert F.mul(a, b) == _reference(F, _fp_mulmod(list(a), list(b), mod, p))
+        if F.is_zero(a):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        else:
+            assert F.inv(a) == _reference(F, _fp_powmod(list(a), F.order - 2, mod, p))
+            assert F.div(F.one, a) == F.inv(a)
+            assert F.pow(a, -1) == F.inv(a)
+    with pytest.raises(KeyError):
+        F.mul(F.one, (p,) + (0,) * (d - 1))  # digit out of range: no element
+
+
+@pytest.mark.parametrize("p,d", [(2, 13), (3, 8), (2, 17)])
+def test_large_field_multiplies_without_tables(p, d):
+    F = FiniteField(p, d)
+    assert F.order > TABLE_LIMIT
+    mod = list(F.modulus)
+    a = F.pow(F.gen, 16)
+    b = F.from_coeffs([1, 0, 1, 1])
+    for x, y in [(a, a), (a, b), (b, F.gen), (F.zero, a)]:
+        assert F.mul(x, y) == _reference(F, _fp_mulmod(list(x), list(y), mod, p))
+    assert F.mul(b, F.inv(b)) == F.one
+    assert F.pth_root(F.frob(b)) == b
+    assert F._tables() is None
