@@ -39,10 +39,6 @@ class SearchConfig:
     elementary_norm_bound: int = 2
     albert_height: int = 1
 
-    def light(self) -> "SearchConfig":
-        return SearchConfig(self.elementary_norm_bound, self.elementary_norm_bound,
-                            self.albert_height)
-
 
 @dataclass
 class CheckLabel:
@@ -141,10 +137,6 @@ def frobenius_push_expr(e: BrauerExpr, down_level: int) -> BrauerExpr:
     """Entrywise pushforward (the pushforward respects tensor products)."""
     return BrauerExpr(e.tower, down_level,
                       [frobenius_push(s, down_level) for s in e.entries])
-
-
-def scalar_extend(e: BrauerExpr, level: int) -> BrauerExpr:
-    return e.lift_to(level)
 
 
 # ---------------------------------------------------------------------------

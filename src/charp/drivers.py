@@ -94,16 +94,23 @@ def decompose(scenario: Scenario, cfg: SearchConfig = SearchConfig()) -> DriveRe
     return DriveResult(report, expr, cert, achieved, labels, case)
 
 
-def _drive_albert(scenario: Scenario, cfg: SearchConfig):
-    tower, f_level, expr = _load_context(scenario)
-    if tower.depth - f_level != scenario.n:
-        raise DriverError("tower degree does not match the scenario exponent")
+def _insep_chain(tower: tw.FieldTower, f_level: int, error: str) -> InsepTower:
+    """The steps of ``tower`` above ``f_level`` as an InsepTower over the
+    level; DriverError(error) when one of them is not a root step."""
     K = InsepTower(tw.truncate(tower, f_level))
     for lvl in range(f_level + 1, tower.depth + 1):
         step = tower.step_at(lvl)
         if step.kind != "insep_root":
-            raise DriverError("split_by_insep needs a chain of root steps")
+            raise DriverError(error)
         K.add(tw.descend(tw.step_defining_elem(tower, lvl), f_level), step.gen)
+    return K
+
+
+def _drive_albert(scenario: Scenario, cfg: SearchConfig):
+    tower, f_level, expr = _load_context(scenario)
+    if tower.depth - f_level != scenario.n:
+        raise DriverError("tower degree does not match the scenario exponent")
+    K = _insep_chain(tower, f_level, "split_by_insep needs a chain of root steps")
     dec = albert_decompose(expr, K, cfg)
     return dec.expr, dec.certificate, dec.labels, "albert"
 
@@ -111,12 +118,7 @@ def _drive_albert(scenario: Scenario, cfg: SearchConfig):
 def _drive_cyclic_reduction(scenario: Scenario, cfg: SearchConfig):
     data = _attached(scenario)
     tower, f_level, expr = _load_context(scenario)
-    K = InsepTower(tw.truncate(tower, f_level))
-    for lvl in range(f_level + 1, tower.depth + 1):
-        step = tower.step_at(lvl)
-        if step.kind != "insep_root":
-            raise DriverError("the attached tower must be purely inseparable")
-        K.add(tw.descend(tw.step_defining_elem(tower, lvl), f_level), step.gen)
+    K = _insep_chain(tower, f_level, "the attached tower must be purely inseparable")
     cyclic, is_op = parse_symbol(data["cyclic"], K.tower, K.top_level)
     if is_op:
         raise DriverError("cyclic data must be a plain symbol")

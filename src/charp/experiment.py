@@ -186,12 +186,10 @@ def _run_trial(cfg: ExperimentConfig, trial: int, rng: random.Random) -> TrialRo
         return _trial_symbols(cfg, trial, rng)
     if cfg.family == "merge_pipeline":
         return _trial_merge(cfg, trial, rng)
-    if cfg.family == "insep_cyclic":
-        return _trial_insep_cyclic(cfg, trial, rng)
+    if cfg.family in _INSEP_REDUCTIONS:
+        return _trial_insep_reduction(cfg, trial, rng, cfg.family)
     if cfg.family == "cyclic_step":
         return _trial_cyclic_step(cfg, trial, rng)
-    if cfg.family == "cyclic_degree":
-        return _trial_cyclic_degree(cfg, trial, rng)
     raise DriverError("unknown experiment family %r" % cfg.family)
 
 
@@ -250,21 +248,33 @@ def _random_insep_scenario(cfg, rng):
     raise DescentError("could not draw a nondegenerate cyclic instance")
 
 
-def _trial_insep_cyclic(cfg, trial, rng) -> TrialRow:
+# Row label -> (scenario kind, n, failure text of the bound check, failure
+# text of the invariant check).  The texts land in the CSV error column.
+_INSEP_REDUCTIONS = {
+    # the class over K = F(b^(1/p)) with cyclic data over K
+    "insep_cyclic": ("cyclic_after_insep", 1, "achieved length above the bound",
+                     "decomposition changed the invariant vector"),
+    # a supplied degree-p^2 cyclic presentation: one root step plus cyclic
+    # data over it; the bound is p^(2-1) = p
+    "cyclic_degree": ("cyclic_deg", 2, "achieved length above the cyclic-degree bound",
+                      "driver changed the invariant vector"),
+}
+
+
+def _trial_insep_reduction(cfg, trial, rng, label: str) -> TrialRow:
+    """Reduce a random class over an inseparable tower to a cyclic step and
+    check the result against the bound for the scenario ``label`` names."""
+    kind, n, above_bound, changed = _INSEP_REDUCTIONS[label]
     K, A, cyclic = _random_insep_scenario(cfg, rng)
-    scn = Scenario(cfg.p, "cyclic_after_insep", n=1)
-    report = bound(scn)
+    report = bound(Scenario(cfg.p, kind, n=n))
     out = reduce_to_cyclic_step(A, K, cyclic, SearchConfig(cfg.norm_bound))
     achieved = out.total_length()
     certified = bool(verify_certificate(out.certificate))
-    before = expr_invariants(A)
-    after = expr_invariants(BrauerExpr(K.tower, 0, out.total().entries))
-    if before != after:
-        raise AssertionError("decomposition changed the invariant vector")
     if achieved > report.value:
-        raise AssertionError("achieved length above the bound")
-    return TrialRow(trial, "insep_cyclic", report.rule, report.value,
-                    achieved, certified, 0)
+        raise AssertionError(above_bound)
+    if expr_invariants(A) != expr_invariants(BrauerExpr(K.tower, 0, out.total().entries)):
+        raise AssertionError(changed)
+    return TrialRow(trial, label, report.rule, report.value, achieved, certified, 0)
 
 
 def _trial_cyclic_step(cfg, trial, rng) -> TrialRow:
@@ -308,21 +318,3 @@ def _as_lhs_text(gen: str, p: int) -> str:
 def _const_text(field, c) -> str:
     from .textform import format_ff
     return format_ff(field, c)
-
-
-def _trial_cyclic_degree(cfg, trial, rng) -> TrialRow:
-    """Supplied degree-p^2 cyclic presentation: a chain of one root step plus
-    cyclic data over it; the bound is p^(2-1) = p."""
-    K, A, cyclic = _random_insep_scenario(cfg, rng)
-    scn = Scenario(cfg.p, "cyclic_deg", n=2)
-    report = bound(scn)
-    out = reduce_to_cyclic_step(A, K, cyclic, SearchConfig(cfg.norm_bound))
-    achieved = out.total_length()
-    certified = bool(verify_certificate(out.certificate))
-    if achieved > report.value:
-        raise AssertionError("achieved length above the cyclic-degree bound")
-    if expr_invariants(A) != expr_invariants(
-            BrauerExpr(K.tower, 0, out.total().entries)):
-        raise AssertionError("driver changed the invariant vector")
-    return TrialRow(trial, "cyclic_degree", report.rule, report.value,
-                    achieved, certified, 0)

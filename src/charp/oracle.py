@@ -22,7 +22,8 @@ from typing import List, Optional
 from . import towers as tw
 from .invariants import BackendError, InvariantVector, realize_pairs, symbol_vector
 from .rationalize import Rationalization, rationalize_level
-from .symbols import BrauerExpr, Symbol, normalize_symbol
+from .symbols import (BrauerExpr, Symbol, _norm_search_bound, norm_witness,
+                      normalize_symbol)
 from .textform import format_place
 
 
@@ -95,16 +96,9 @@ def is_split(s: Symbol, strategy: str = "both", degree_bound: int = 4) -> SplitR
         vector = expr_invariants(BrauerExpr(s.tower, s.level, [s]))
 
     witness = None
-    ext = None
     if strategy in ("norm_search", "both"):
-        from .symbols import splitting_extension
-        ext = splitting_extension(s)
-        if ext is not None:
-            search_bound = degree_bound
-            if s.tower.ring.nvars > 1:
-                search_bound = min(search_bound, 1)
-            witness = tw.solve_norm(tw.rebind(s.b, ext), s.level + 1, s.level,
-                                    search_bound)
+        degree_bound = _norm_search_bound(s.tower, degree_bound)
+        witness = norm_witness(s, degree_bound)
 
     if vector is not None and not vector.is_zero():
         if witness is not None:
@@ -114,7 +108,7 @@ def is_split(s: Symbol, strategy: str = "both", degree_bound: int = 4) -> SplitR
         return SplitResult("nonsplit", reason="invariant %d/%d at %s" % (
             vector.entries[place], vector.p, format_place(place)), vector=vector)
     if witness is not None:
-        return SplitResult("split", witness=witness, witness_tower=ext,
+        return SplitResult("split", witness=witness, witness_tower=witness.tower,
                            reason="norm witness", vector=vector,
                            searched_bound=degree_bound)
     if vector is not None:

@@ -18,7 +18,8 @@ low degree first, over any field object with ``zero``, ``one``,
 :class:`FiniteField` drives it for GF(q)[t], through the ``Poly`` functions
 below and the residue and completion code of the invariant oracle; a tower
 ``LevelOps`` drives it for polynomials over the level below (products,
-inverses, norms).
+inverses, norms).  ``_solve_linear``, the only Gaussian elimination, runs
+over the same field objects.
 """
 
 from __future__ import annotations
@@ -393,6 +394,37 @@ def _upoly_resultant(ops, f: list, g: list):
         f, g = g, r
 
 
+def _solve_linear(ops, matrix: list, rhs: list):
+    """One x with matrix * x = rhs, the free unknowns set to zero, or None
+    when the system is inconsistent.  Gauss-Jordan elimination over any
+    field object with ``zero``, ``is_zero``, ``mul``, ``sub`` and ``inv``;
+    the pivot columns are the leftmost independent ones, so x is the same
+    whichever rows are listed first."""
+    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ops.inv(rows[r][c])
+        top = rows[r] = [mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not is_zero(f):
+                rows[i] = [sub(v, mul(f, w)) for v, w in zip(row, top)]
+        pivots.append(c)
+    if any(not is_zero(row[-1]) for row in rows[len(pivots):]):
+        return None
+    x = [ops.zero] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # univariate Poly operations on the kernel
 # ---------------------------------------------------------------------------
@@ -471,15 +503,6 @@ def _coeff_map(f: Poly, var_index: int) -> Dict[int, Poly]:
         rest = tuple(0 if i == var_index else x for i, x in enumerate(m))
         out.setdefault(e, {})[rest] = c
     return {e: Poly(f.ring, terms) for e, terms in out.items()}
-
-
-def _from_coeff_map(ring: PolyRing, var_index: int, cmap: Dict[int, Poly]) -> Poly:
-    terms: Dict[Monomial, FFElem] = {}
-    for e, coeff in cmap.items():
-        for m, c in coeff.terms.items():
-            nm = tuple(e if i == var_index else x for i, x in enumerate(m))
-            terms[nm] = c
-    return Poly(ring, terms)
 
 
 def _content(f: Poly, var_index: int) -> Poly:
@@ -598,9 +621,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == self.den
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()

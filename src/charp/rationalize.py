@@ -14,10 +14,11 @@ tower level and a depth-zero tower, or returns None for other shapes.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, List, Optional
 
 from .ffield import FFElem, FiniteField
-from .poly import Poly, PolyRing, RatFunc
+from .poly import Poly, PolyRing, RatFunc, _solve_linear
 from . import towers as tw
 
 
@@ -169,11 +170,9 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     cols = []
     cur = tw.int_elem(helper, 1, 1)
     for _ in range(p):
-        cols.append(_helper_coords(cur, p))
+        cols.append(tw._coordinates(cur, 0))
         cur = tw.mul(cur, s_helper)
-    target = _helper_coords(w_gen, p)
-    matrix = [[cols[j][i] for j in range(p)] for i in range(p)]
-    sol = tw._solve_ratfunc_system(helper.ring, matrix, target)
+    sol = tw._solve_columns(tw._ops(helper, 0), cols, tw._coordinates(w_gen, 0))
     if sol is None:
         raise AssertionError("the root generator must generate the refined field")
     s_src = tw.gen_elem(tower, lvl)
@@ -204,11 +203,6 @@ def _eval_ratfunc_at(rf: RatFunc, point: tw.Elem, helper: tw.FieldTower) -> tw.E
     num = rf.num.substitute({rf.ring.variables[0]: point}, zero, one, tw.add, tw.mul, embed)
     den = rf.den.substitute({rf.ring.variables[0]: point}, zero, one, tw.add, tw.mul, embed)
     return tw.div(num, den)
-
-
-def _helper_coords(x: tw.Elem, p: int) -> list:
-    coords = tw._coordinates(x, 0)
-    return [coords.get((e,), RatFunc.zero(x.tower.ring)) for e in range(p)]
 
 
 def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
@@ -249,21 +243,17 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     new_gen_images.append(RatFunc.from_poly(ring.constant(iota)))
 
     # the big constant field's generator, written over {iota^j * genQ^k}
-    basis_elems = []
-    basis_tags = []
-    for j in range(p):
-        for k in range(q_field.d):
-            val = big.mul(big.pow(iota, j), big.pow(embed_gen, k))
-            basis_elems.append(val)
-            basis_tags.append((j, k))
-    target = big.gen
-    sol = _solve_ff_decomposition(big, basis_elems, target)
+    basis_tags = list(product(range(p), range(q_field.d)))
+    basis_elems = [big.mul(big.pow(iota, j), big.pow(embed_gen, k)) for j, k in basis_tags]
+    # over GF(p), row i is the coefficient of the i-th power of big.gen
+    matrix = [[(val[i],) for val in basis_elems] for i in range(big.d)]
+    sol = _solve_linear(FiniteField(p), matrix, [(digit,) for digit in big.gen])
     if sol is None:
         raise AssertionError("constant field basis decomposition failed")
     i_src = tw.gen_elem(tower, lvl)
     genq_prev = tw.lift(rz.genq_source, lvl)
     genq_new = tw.int_elem(tower, lvl, 0)
-    for coeff, (j, k) in zip(sol, basis_tags):
+    for (coeff,), (j, k) in zip(sol, basis_tags):
         if coeff == 0:
             continue
         term = tw.int_elem(tower, lvl, coeff)
@@ -293,31 +283,3 @@ def _embedding_image(small: FiniteField, big: FiniteField) -> FFElem:
             return cand
     raise AssertionError("no root of the subfield modulus; degrees are incompatible")
 
-
-def _solve_ff_decomposition(field: FiniteField, basis: List[FFElem], target: FFElem):
-    """Write target as an F_p-combination of the given basis elements."""
-    p = field.p
-    n = field.d
-    cols = len(basis)
-    matrix = [[basis[j][i] for j in range(cols)] + [target[i]] for i in range(n)]
-    r, pivots = 0, []
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if matrix[i][c]), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = pow(matrix[r][c], p - 2, p)
-        matrix[r] = [(v * inv) % p for v in matrix[r]]
-        for i in range(n):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                matrix[i] = [(x - f * y) % p for x, y in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if matrix[i][cols]:
-            return None
-    sol = [0] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = matrix[i][cols]
-    return sol

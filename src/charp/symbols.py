@@ -119,13 +119,6 @@ class BrauerExpr:
         return format_expr(self)
 
 
-def expr_of(symbols: Sequence[Symbol]) -> BrauerExpr:
-    if not symbols:
-        raise ValueError("need at least one symbol; use BrauerExpr directly for empty")
-    s0 = symbols[0]
-    return BrauerExpr(s0.tower, s0.level, symbols)
-
-
 # ---------------------------------------------------------------------------
 # normalization of a single symbol
 # ---------------------------------------------------------------------------
@@ -377,16 +370,20 @@ def splitting_extension(s: Symbol) -> Optional[tw.FieldTower]:
 _WITNESS_CACHE: dict = {}
 
 
+def _norm_search_bound(tower: FieldTower, degree_bound: int) -> int:
+    """The bound a norm-witness search over this tower actually uses:
+    multivariate bases clamp it to 1 to keep candidate pools tractable."""
+    return min(degree_bound, 1) if tower.ring.nvars > 1 else degree_bound
+
+
 def norm_witness(s: Symbol, degree_bound: int) -> Optional[Elem]:
     """A z in the Artin-Schreier extension by the a slot whose norm is the b
-    slot, or None within the bound.  Multivariate bases clamp the bound to
-    keep candidate pools tractable; deeper searches are the callers' call.
-    Memoized per symbol and bound."""
+    slot, or None within the bound, clamped by ``_norm_search_bound``;
+    deeper searches are the callers' call.  Memoized per symbol and bound."""
     ext = splitting_extension(s)
     if ext is None:
         return None  # trivial a slot: handled by normalization instead
-    if s.tower.ring.nvars > 1:
-        degree_bound = min(degree_bound, 1)
+    degree_bound = _norm_search_bound(s.tower, degree_bound)
     key = (s.tower.signature(s.level), s.level, s.a.rep, s.b.rep, degree_bound)
     if key in _WITNESS_CACHE:
         found, rep = _WITNESS_CACHE[key]

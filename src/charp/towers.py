@@ -19,8 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
 from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
-                   poly_divmod_1var, poly_exact_div, poly_inv_mod, _upoly_divmod,
-                   _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
+                   poly_divmod_1var, poly_exact_div, poly_inv_mod, _solve_linear,
+                   _upoly_divmod, _upoly_inv_mod, _upoly_mul, _upoly_resultant,
+                   _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -250,10 +251,6 @@ class LevelOps:
 # element-level API
 # ---------------------------------------------------------------------------
 
-def base_elem(tower: FieldTower, value: RatFunc) -> Elem:
-    return Elem(tower, 0, value)
-
-
 def int_elem(tower: FieldTower, level: int, n: int) -> Elem:
     return Elem(tower, level, _ops(tower, level).from_int(n))
 
@@ -434,9 +431,9 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         ops = _ops(tower, tower.depth)
         if coeffs[-1].rep != ops.one:
             raise StepError("simple step polynomial must be monic")
-        if _has_root_at_level(tower, coeffs) or degree > 3:
-            if degree > 3:
-                raise StepError("simple steps above degree 3 are not supported")
+        if degree > 3:
+            raise StepError("simple steps above degree 3 are not supported")
+        if _has_root_at_level(tower, coeffs):
             raise StepError("degenerate step: polynomial has a root at this level")
         payload = tuple(c.rep for c in coeffs)
     else:
@@ -573,27 +570,15 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
         return lift(rebind(root0, tower), level)
     steps = tower.steps[:level]
     if all(s.kind == "insep_root" for s in steps):
-        radicands = []
-        for k in range(1, level + 1):
-            r = step_defining_elem(tower, k)
-            if level_of_definition(r) != 0:
-                raise NotImplementedError("inseparable radicand above the base field")
-            radicands.append(descend(r, 0).rep)
+        radicands = _base_radicands(tower, level)
         try:
             x0 = descend(x, 0)
         except ValueError:
             return None  # proper top-generator coordinates: the p-th powers lie below
-        coords = _pth_span_coordinates(tower.ring, x0.rep, radicands)
+        coords = _pth_span_coordinates(tower, x0.rep, radicands)
         if coords is None:
             return None
-        out = int_elem(tower, level, 0)
-        for expvec, lam in coords:
-            term = lift(Elem(tower, 0, lam), level)
-            for gi, e in enumerate(expvec):
-                if e:
-                    term = mul(term, power(lift(gen_elem(tower, gi + 1), level), e))
-            out = add(out, term)
-        return out
+        return _assemble(tower, 0, level, coords.keys(), coords.values())
     from .rationalize import rationalize_level
     rz = rationalize_level(tower, level)
     if rz is None:
@@ -605,44 +590,32 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
     return rz.backward(root)
 
 
-def _pth_span_coordinates(ring: PolyRing, x: RatFunc, radicands: List[RatFunc]):
-    """Coordinates of x in the F^p-span of products b_1^{e_1}...b_k^{e_k}
-    (exponents < p), or None.  After rewriting everything in p-basis
-    coordinates the system is linear over F itself."""
-    p = ring.field.p
-    exps = _exponent_vectors(len(radicands), p)
-    products = []
+def _base_radicands(tower: FieldTower, level: int) -> List[RatFunc]:
+    """The radicands of an inseparable-root chain up to ``level``, as base
+    fractions; raises when one lives above the base."""
+    radicands = []
+    for k in range(1, level + 1):
+        r = step_defining_elem(tower, k)
+        if level_of_definition(r) != 0:
+            raise NotImplementedError("inseparable radicand above the base field")
+        radicands.append(descend(r, 0).rep)
+    return radicands
+
+
+def _pth_span_coordinates(tower: FieldTower, x: RatFunc, radicands: List[RatFunc]):
+    """Coordinates {e: c_e} of x in the F^p-span of products
+    b_1^{e_1}...b_k^{e_k} (exponents < p), or None.  After rewriting
+    everything in p-basis coordinates the system is linear over F itself."""
+    exps = list(_iproduct(range(tower.p), repeat=len(radicands)))
+    columns = []
     for ev in exps:
-        prod = RatFunc.one(ring)
+        prod = RatFunc.one(tower.ring)
         for b, e in zip(radicands, ev):
             if e:
                 prod = prod * (RatFunc.from_poly(b.num) ** e) / (RatFunc.from_poly(b.den) ** e)
-        products.append(prod)
-    monomials: List[Tuple[int, ...]] = []
-    columns = []
-    for prod in products:
-        col = _p_basis_coordinates(prod)
-        columns.append(col)
-        for mon in col:
-            if mon not in monomials:
-                monomials.append(mon)
-    target = _p_basis_coordinates(x)
-    for mon in target:
-        if mon not in monomials:
-            monomials.append(mon)
-    matrix = [[col.get(mon, RatFunc.zero(ring)) for col in columns] for mon in monomials]
-    rhs = [target.get(mon, RatFunc.zero(ring)) for mon in monomials]
-    sol = _solve_ratfunc_system(ring, matrix, rhs)
-    if sol is None:
-        return None
-    return [(exps[j], sol[j]) for j in range(len(products)) if not sol[j].is_zero()]
-
-
-def _exponent_vectors(k: int, p: int):
-    out = [()]
-    for _ in range(k):
-        out = [ev + (e,) for ev in out for e in range(p)]
-    return out
+        columns.append(_p_basis_coordinates(prod))
+    sol = _solve_columns(_ops(tower, 0), columns, _p_basis_coordinates(x))
+    return None if sol is None else dict(zip(exps, sol))
 
 
 def _p_basis_coordinates(x: RatFunc) -> dict:
@@ -662,36 +635,13 @@ def _p_basis_coordinates(x: RatFunc) -> dict:
     return {res: RatFunc(poly, x.den) for res, poly in pieces.items() if not poly.is_zero()}
 
 
-def _solve_ratfunc_system(ring: PolyRing, matrix, rhs):
-    """Gaussian elimination over the rational function field; one solution
-    vector, or None when inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    m = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inv()
-        m[r] = [entry * inv for entry in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not m[i][cols].is_zero():
-            return None
-    sol = [RatFunc.zero(ring) for _ in range(cols)]
-    for i, c in enumerate(pivot_cols):
-        sol[c] = m[i][cols]
-    return sol
+def _solve_columns(ops, columns: List[dict], target: dict):
+    """Solve sum_j x_j * columns[j] = target, each side a sparse map from
+    row keys to entries (absent keys are zero): ``_solve_linear`` over the
+    union of the keys."""
+    keys = list(dict.fromkeys(k for vec in columns + [target] for k in vec))
+    matrix = [[col.get(k, ops.zero) for col in columns] for k in keys]
+    return _solve_linear(ops, matrix, [target.get(k, ops.zero) for k in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -742,51 +692,20 @@ def _as_preimage_insep(a: Elem) -> Optional[Elem]:
     # the base), leaving a base-level equation for the e = 0 coordinate
     tower, level = a.tower, a.level
     p = tower.p
-    ring = tower.ring
-    radicands = []
-    for k in range(1, level + 1):
-        r = step_defining_elem(tower, k)
-        if level_of_definition(r) != 0:
-            raise NotImplementedError("inseparable radicand above the base field")
-        radicands.append(descend(r, 0).rep)
-    coords = _insep_coordinates(a)
-    zero_key = tuple([0] * level)
-    forced = {ev: -c for ev, c in coords.items() if any(ev)}
-    shift = RatFunc.zero(ring)
+    radicands = _base_radicands(tower, level)
+    coords = _coordinates(a, 0)
+    forced = {ev: -c for ev, c in coords.items() if any(ev) and not c.is_zero()}
+    shift = RatFunc.zero(tower.ring)
     for ev, lam in forced.items():
         prod = lam ** p
         for b, e in zip(radicands, ev):
             if e:
                 prod = prod * (b ** e)
         shift = shift + prod
-    base_target = coords.get(zero_key, RatFunc.zero(ring)) - shift
-    c0 = _as_preimage_base(Elem(tower, 0, base_target))
+    c0 = _as_preimage_base(Elem(tower, 0, coords[(0,) * level] - shift))
     if c0 is None:
         return None
-    out = lift(c0, level)
-    for ev, lam in forced.items():
-        term = lift(Elem(tower, 0, lam), level)
-        for gi, e in enumerate(ev):
-            if e:
-                term = mul(term, power(lift(gen_elem(tower, gi + 1), level), e))
-        out = add(out, term)
-    return out
-
-
-def _insep_coordinates(a: Elem) -> dict:
-    """{exponent vector over generators 1..level: base coefficient}."""
-    out: dict = {}
-
-    def walk(rep, lvl, suffix):
-        if lvl == 0:
-            if not rep.is_zero():
-                out[suffix] = rep
-            return
-        for e, c in enumerate(rep):
-            walk(c, lvl - 1, (e,) + suffix)
-
-    walk(a.rep, a.level, ())
-    return out
+    return add(lift(c0, level), _assemble(tower, 0, level, forced.keys(), forced.values()))
 
 
 def _as_preimage_base(a: Elem) -> Optional[Elem]:
@@ -883,90 +802,31 @@ def _as_preimage_multivariate(tower: FieldTower, x: RatFunc) -> Optional[Elem]:
               for i in range(ring.nvars)]
     field = ring.field
     basis = []
-    for mon in _box_monomials(bounds):
+    for mon in _iproduct(*(range(b + 1) for b in bounds)):
         for b in range(field.d):
             coeff = tuple(1 if i == b else 0 for i in range(field.d))
             basis.append(Poly(ring, {mon: coeff}))
     w_pm1 = w ** (p - 1)
-    images = [(u ** p) - u * w_pm1 for u in basis]
-    sol = _solve_fp_poly_system(ring, images, x.num)
+
+    def fp_coords(f: Poly) -> dict:
+        # f over GF(p^d) as a vector over GF(p), keyed by (monomial, digit)
+        return {(mon, b): (digit,) for mon, c in f.terms.items()
+                for b, digit in enumerate(c) if digit}
+
+    sol = _solve_columns(FiniteField(p), [fp_coords(u ** p - u * w_pm1) for u in basis],
+                         fp_coords(x.num))
     if sol is None:
         return None
     num = ring.zero()
-    for coeff, u in zip(sol, basis):
+    for (coeff,), u in zip(sol, basis):
         if coeff:
             num = num + u.scale(field.from_int(coeff))
     return Elem(tower, 0, RatFunc(num, w))
 
 
-def _box_monomials(bounds: List[int]):
-    out = [()]
-    for b in bounds:
-        out = [mon + (e,) for mon in out for e in range(b + 1)]
-    return out
-
-
-def _solve_fp_poly_system(ring: PolyRing, images: List[Poly], target: Poly):
-    """Solve sum_j c_j * images[j] = target with c_j in F_p."""
-    p = ring.field.p
-    d = ring.field.d
-    index: dict = {}
-
-    def coords(poly: Poly):
-        vec = {}
-        for mon, c in poly.terms.items():
-            for b in range(d):
-                if c[b]:
-                    key = (mon, b)
-                    if key not in index:
-                        index[key] = len(index)
-                    vec[index[key]] = c[b]
-        return vec
-
-    cols = [coords(img) for img in images]
-    tgt = coords(target)
-    nrows, ncols = len(index), len(images)
-    matrix = [[0] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            matrix[i][j] = v
-    for i, v in tgt.items():
-        matrix[i][ncols] = v
-    r, pivots = 0, []
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if matrix[i][c]), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = pow(matrix[r][c], p - 2, p)
-        matrix[r] = [(v * inv) % p for v in matrix[r]]
-        for i in range(nrows):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                matrix[i] = [(x - f * y) % p for x, y in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if matrix[i][ncols]:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = matrix[i][ncols]
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # minimal polynomials, norms and norm equations
 # ---------------------------------------------------------------------------
-
-def _basis_between(tower: FieldTower, low: int, high: int):
-    """Exponent vectors of the generator-monomial basis of level ``high``
-    over level ``low``, canonical counting order."""
-    out = [()]
-    for k in range(low, high):
-        out = [v + (e,) for v in out for e in range(tower.steps[k].degree)]
-    return out
-
 
 def _coordinates(x: Elem, low: int) -> dict:
     """Coordinates of x over level ``low``, keyed by generator exponents."""
@@ -985,44 +845,23 @@ def _coordinates(x: Elem, low: int) -> dict:
 
 def min_poly(x: Elem, down_to: int) -> List[Elem]:
     """Monic minimal polynomial of x over a lower level, as a little-endian
-    coefficient list of level-``down_to`` elements."""
+    coefficient list of level-``down_to`` elements: the first power x^k
+    that is a combination c of 1, x, ..., x^(k-1) gives x^k - c."""
     tower = x.tower
     if down_to > x.level:
         raise ValueError("target level lies above the element")
-    ops_low = _ops(tower, down_to)
-    basis = _basis_between(tower, down_to, x.level)
-    dim = len(basis)
-    index = {v: i for i, v in enumerate(basis)}
-
-    def coord_vector(y: Elem):
-        vec = [ops_low.zero] * dim
-        for key, rep in _coordinates(y, down_to).items():
-            vec[index[key]] = rep
-        return vec
-
-    rows: list = []  # (pivot position, normalized row, combination over powers)
-    powers = [int_elem(tower, x.level, 1)]
-    while True:
-        target = coord_vector(powers[-1])
-        comb = [ops_low.zero] * len(powers)
-        comb[-1] = ops_low.one
-        for pivot, row, rcomb in rows:
-            c = target[pivot]
-            if ops_low.is_zero(c):
-                continue
-            target = [ops_low.sub(t, ops_low.mul(c, rv)) for t, rv in zip(target, row)]
-            for i, rc in enumerate(rcomb):
-                comb[i] = ops_low.sub(comb[i], ops_low.mul(c, rc))
-        nz = next((i for i, t in enumerate(target) if not ops_low.is_zero(t)), None)
-        if nz is None:
-            # comb gives sum comb_j x^j = 0 with leading coefficient one
-            return [Elem(tower, down_to, c) for c in comb]
-        inv = ops_low.inv(target[nz])
-        rows.append((nz, [ops_low.mul(inv, t) for t in target],
-                     [ops_low.mul(inv, c) for c in comb]))
-        powers.append(mul(powers[-1], x))
-        if len(powers) > dim + 1:
-            raise AssertionError("no linear dependence within the tower degree")
+    ops = _ops(tower, down_to)
+    xk = int_elem(tower, x.level, 1)
+    columns = [_coordinates(xk, down_to)]
+    for _ in range(tower.degree_of_level(x.level) // tower.degree_of_level(down_to)):
+        xk = mul(xk, x)
+        target = _coordinates(xk, down_to)
+        sol = _solve_columns(ops, columns, target)
+        if sol is not None:
+            coeffs = [Elem(tower, down_to, ops.neg(c)) for c in sol]
+            return coeffs + [Elem(tower, down_to, ops.one)]
+        columns.append(target)
+    raise AssertionError("no linear dependence within the tower degree")
 
 
 def norm(x: Elem, down_to: int = 0) -> Elem:
@@ -1061,14 +900,11 @@ def solve_norm(y: Elem, level_top: int, level_bottom: int = 0,
     if (level_top == 1 and tower.p == 2
             and tower.step_at(1).kind in ("artin_schreier", "insep_root")):
         return _solve_norm_char2_resolvent(y, degree_bound)
-    basis = _basis_between(tower, level_bottom, level_top)
-    dim = len(basis)
+    basis = list(_iproduct(*(range(s.degree) for s in tower.steps[level_bottom:level_top])))
     for height in range(degree_bound + 1):
-        for vec in _coordinate_tuples(tower, dim, height):
+        for vec in _coordinate_tuples(tower, len(basis), height):
             z = _assemble(tower, level_bottom, level_top, basis, vec)
-            if z is None:
-                continue
-            if norm(z, level_bottom) == y:
+            if not z.is_zero() and norm(z, level_bottom) == y:
                 return z
     return None
 
@@ -1087,7 +923,7 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
 
     def finish(c0: RatFunc, c1: RatFunc) -> Elem:
         z = _assemble(tower, 0, 1, [(0,), (1,)], (c0, c1))
-        if z is None or norm(z, 0) != y:
+        if z.is_zero() or norm(z, 0) != y:
             raise AssertionError("norm resolvent produced a bad witness")
         return z
 
@@ -1196,21 +1032,19 @@ def _solve_norm_projected(y: Elem, level_top: int, level_bottom: int,
     return out
 
 
-def _assemble(tower, low, high, basis, vec):
+def _assemble(tower, low, high, basis, vec) -> Elem:
     """Combine base-fraction coordinates against the generator-monomial
-    basis of ``high`` over ``low``."""
+    basis of ``high`` over ``low``: sum_e vec_e * g^e."""
     out = int_elem(tower, high, 0)
-    nonzero = False
     for key, c in zip(basis, vec):
         if c.is_zero():
             continue
-        nonzero = True
         term = lift(Elem(tower, 0, c), high)
         for lvl_off, e in enumerate(key):
             if e:
                 term = mul(term, power(lift(gen_elem(tower, low + lvl_off + 1), high), e))
         out = add(out, term)
-    return out if nonzero else None
+    return out
 
 
 def _coordinate_tuples(tower: FieldTower, dim: int, height: int):
@@ -1259,7 +1093,7 @@ def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
 
 def _polys_up_to(ring: PolyRing, h: int, monic: bool = False) -> list:
     field = ring.field
-    mons = [m for m in _box_monomials([h] * ring.nvars) if sum(m) <= h]
+    mons = [m for m in _iproduct(range(h + 1), repeat=ring.nvars) if sum(m) <= h]
     mons.sort(key=lambda m: (sum(m), m))
     polys = [ring.zero()]
     for mon in mons:

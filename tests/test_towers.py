@@ -55,6 +55,17 @@ def test_simple_step_roundtrip(f2t):
                       tw.int_elem(f2t, 0, 1)])
 
 
+def test_simple_step_degree_checked_before_root_search(f2t, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("root search ran on an unsupported degree")
+
+    monkeypatch.setattr(tw, "_has_root_at_level", no_search)
+    # X^4 + X + 1, irreducible over GF(2)
+    coeffs = [tw.int_elem(f2t, 0, c) for c in (1, 1, 0, 0, 1)]
+    with pytest.raises(tw.StepError, match="above degree 3"):
+        tw.make_step(f2t, "simple", "j", coeffs)
+
+
 def test_min_poly_examples(f2t):
     # s over GF(2)(t) with s^2 = t: X^2 + t
     T1 = parse_tower("GF(2)(t) ; ROOT s: s^2 = t")
