@@ -373,8 +373,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     x_p = tw.descend(tw.power(x, p), f_level)
     y_p = tw.descend(tw.power(y, p), f_level)
     base = tw.truncate(tower, f_level)
-    ext = tw.make_step(base, "artin_schreier", tw.fresh_gen_name(base, "w"),
-                       tw.rebind(x_p, base))
+    ext = tw.make_step(base, "artin_schreier", tw.fresh_gen_name(base, "w"), x_p)
     z_prime = tw.solve_norm(tw.rebind(y_p, ext), f_level + 1, f_level,
                             cfg.norm_bound)
     if z_prime is None:

@@ -163,7 +163,7 @@ def _drive_cyclic_step(scenario: Scenario, cfg: SearchConfig):
         for c in coeffs[:-1]:
             if c.is_zero():
                 continue
-            K.try_add(tw.rebind(c, K.tower) if c.tower is not K.tower else c)
+            K.try_add(c)
     comp = tower
     for name, b in K.gens:
         comp = tw.make_step(comp, "insep_root", name,

@@ -103,8 +103,13 @@ class Rationalization:
 
 
 def rationalize_level(tower: tw.FieldTower, level: int) -> Optional[Rationalization]:
-    """Build the rational presentation of a tower level, or None when some
-    step below the level is not of a supported kind."""
+    """The rational presentation of a tower level, or None when some step
+    below the level is not of a supported kind.  Memoized on ``tower``,
+    whose elements ``backward`` returns."""
+    return tw._memo(tower, ("rationalize", level), lambda: _rationalized(tower, level))
+
+
+def _rationalized(tower: tw.FieldTower, level: int) -> Optional[Rationalization]:
     if tower.ring.nvars != 1:
         return None
     varname = tower.ring.variables[0]

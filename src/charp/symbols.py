@@ -138,32 +138,13 @@ class NormalizeOutcome:
     split_witness: Optional[str] = None
 
 
-_NORMALIZE_CACHE: dict = {}
-
-
 def normalize_symbol(s: Symbol) -> NormalizeOutcome:
     """Canonical pole-order-reduced a and p-th-power-free b over the
     univariate base; exact triviality tests elsewhere.  Returns a split
     outcome when a lands in the image of c^p - c or b reduces to one.
-    Memoized."""
-    key = (s.tower.signature(s.level), s.level, s.a.rep, s.b.rep)
-    hit = _NORMALIZE_CACHE.get(key)
-    if hit is not None:
-        return _rebind_outcome(hit, s.tower)
-    out = _normalize_symbol_uncached(s)
-    _NORMALIZE_CACHE[key] = out
-    return _rebind_outcome(out, s.tower)
-
-
-def _rebind_outcome(out: "NormalizeOutcome", tower) -> "NormalizeOutcome":
-    def rb(x):
-        return None if x is None else tw.rebind(x, tower)
-
-    sym = out.symbol
-    if sym is not None:
-        sym = Symbol(tw.rebind(sym.a, tower), tw.rebind(sym.b, tower))
-    return NormalizeOutcome(sym, rb(out.as_shift), rb(out.power_shift),
-                            out.split_witness)
+    Memoized on the symbol's tower."""
+    return tw._memo(s.tower, ("normalize", s.level, s.a.rep, s.b.rep),
+                    lambda: _normalize_symbol_uncached(s))
 
 
 def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
@@ -359,15 +340,11 @@ def splitting_extension(s: Symbol) -> Optional[tw.FieldTower]:
     """The tower extended by the Artin-Schreier step of the a slot, with a
     deterministic fresh generator name; None when the a slot is trivial."""
     base_tower = tw.truncate(s.tower, s.level)
-    a = tw.rebind(s.a, base_tower)
     try:
         return tw.make_step(base_tower, "artin_schreier",
-                            tw.fresh_gen_name(base_tower), a)
+                            tw.fresh_gen_name(base_tower), s.a)
     except tw.StepError:
         return None
-
-
-_WITNESS_CACHE: dict = {}
 
 
 def _norm_search_bound(tower: FieldTower, degree_bound: int) -> int:
@@ -379,18 +356,15 @@ def _norm_search_bound(tower: FieldTower, degree_bound: int) -> int:
 def norm_witness(s: Symbol, degree_bound: int) -> Optional[Elem]:
     """A z in the Artin-Schreier extension by the a slot whose norm is the b
     slot, or None within the bound, clamped by ``_norm_search_bound``;
-    deeper searches are the callers' call.  Memoized per symbol and bound."""
+    deeper searches are the callers' call.  Memoized on the extension, per
+    b slot and bound."""
     ext = splitting_extension(s)
     if ext is None:
         return None  # trivial a slot: handled by normalization instead
     degree_bound = _norm_search_bound(s.tower, degree_bound)
-    key = (s.tower.signature(s.level), s.level, s.a.rep, s.b.rep, degree_bound)
-    if key in _WITNESS_CACHE:
-        found, rep = _WITNESS_CACHE[key]
-        return tw.Elem(ext, s.level + 1, rep) if found else None
-    z = tw.solve_norm(tw.rebind(s.b, ext), s.level + 1, s.level, degree_bound)
-    _WITNESS_CACHE[key] = (z is not None, z.rep if z is not None else None)
-    return z
+    return tw._memo(ext, ("norm_witness", s.b.rep, degree_bound),
+                    lambda: tw.solve_norm(tw.rebind(s.b, ext), s.level + 1, s.level,
+                                          degree_bound))
 
 
 def reduce_expr(expr: BrauerExpr, recorder=None, norm_bound: int = 0,

@@ -32,9 +32,9 @@ class StepError(ValueError):
 
 
 class ExtStep:
-    """One extension step; ``data`` is the defining element (or the tuple of
-    minimal polynomial coefficient representations for simple steps), given
-    at the level below the step."""
+    """One extension step; ``data`` is the representation of the defining
+    element (or the tuple of minimal polynomial coefficient representations
+    for simple steps), given at the level below the step."""
 
     __slots__ = ("kind", "gen", "data", "degree")
 
@@ -48,14 +48,22 @@ class ExtStep:
         return "ExtStep(%s, %s, deg=%d)" % (self.kind, self.gen, self.degree)
 
 
-class FieldTower:
-    """A base rational function field plus a chain of extension steps."""
+# The tower registry, signature -> tower.  Not weak: memo hits come mostly
+# from later computations that rebuild a tower no live object still holds.
+_TOWERS: dict = {}
 
-    def __init__(self, base_field: FiniteField, base_vars: Sequence[str]):
-        self.base_field = base_field
-        self.ring = PolyRing(base_field, base_vars)
-        self.steps: Tuple[ExtStep, ...] = ()
-        self._ops_cache: dict = {}
+
+class FieldTower:
+    """A base rational function field plus a chain of extension steps.
+
+    Towers are interned on their signature: ``FieldTower(field, vars)``,
+    ``make_step`` and ``truncate`` return the existing tower when an equal
+    one was built before, so equal towers are the same object.  Each tower
+    links to its ``parent`` (the tower one step lower, None at the base)
+    and carries ``memo``, the cache ``_memo`` keeps on it."""
+
+    def __new__(cls, base_field: FiniteField, base_vars: Sequence[str]):
+        return _interned(PolyRing(base_field, base_vars), (), None)
 
     @property
     def p(self) -> int:
@@ -84,20 +92,33 @@ class FieldTower:
         from .textform import format_tower
         return format_tower(self)
 
-    def _extended(self, step: ExtStep) -> "FieldTower":
-        t = FieldTower(self.base_field, self.ring.variables)
-        t.steps = self.steps + (step,)
-        return t
-
     def signature(self, level: Optional[int] = None):
-        """A hashable fingerprint of the tower below a level, for caches."""
+        """A hashable fingerprint of the tower below a level: the key of the
+        tower registry."""
         upto = self.depth if level is None else level
-        parts = []
-        for s in self.steps[:upto]:
-            data = s.data if s.kind == "simple" else s.data.rep
-            parts.append((s.kind, s.gen, s.degree, data))
-        return (self.base_field.p, self.base_field.d, self.ring.variables,
-                tuple(parts))
+        parts = tuple((s.kind, s.gen, s.degree, s.data) for s in self.steps[:upto])
+        return (self.base_field.p, self.base_field.d, self.ring.variables, parts)
+
+
+def _interned(ring: PolyRing, steps: Tuple[ExtStep, ...],
+              parent: Optional[FieldTower]) -> FieldTower:
+    tower = object.__new__(FieldTower)
+    tower.base_field = ring.field
+    tower.ring = ring
+    tower.steps = steps
+    tower.parent = parent
+    tower.memo = {}
+    return _TOWERS.setdefault(tower.signature(), tower)
+
+
+def _memo(tower: FieldTower, key, compute):
+    """``compute()``, run once per key on this tower and kept in its memo
+    (exceptions are not kept)."""
+    try:
+        return tower.memo[key]
+    except KeyError:
+        out = tower.memo[key] = compute()
+        return out
 
 
 class Elem:
@@ -129,11 +150,7 @@ class Elem:
 
 
 def _ops(tower: FieldTower, level: int) -> "LevelOps":
-    ops = tower._ops_cache.get(level)
-    if ops is None:
-        ops = LevelOps(tower, level)
-        tower._ops_cache[level] = ops
-    return ops
+    return _memo(tower, level, lambda: LevelOps(tower, level))
 
 
 class LevelOps:
@@ -179,10 +196,10 @@ class LevelOps:
         step = self.step
         p = self.tower.p
         if step.kind == "artin_schreier":
-            coeffs = [low.neg(step.data.rep)] + [low.zero] * (p - 1) + [low.one]
+            coeffs = [low.neg(step.data)] + [low.zero] * (p - 1) + [low.one]
             coeffs[1] = low.sub(coeffs[1], low.one)
         elif step.kind == "insep_root":
-            coeffs = [low.neg(step.data.rep)] + [low.zero] * (p - 1) + [low.one]
+            coeffs = [low.neg(step.data)] + [low.zero] * (p - 1) + [low.one]
         else:
             coeffs = list(step.data)
         self._minpoly = coeffs
@@ -276,25 +293,26 @@ def step_defining_elem(tower: FieldTower, level: int) -> Elem:
     step = tower.step_at(level)
     if step.kind == "simple":
         raise ValueError("simple steps have no single defining element")
-    return Elem(tower, level - 1, step.data.rep)
+    return Elem(tower, level - 1, step.data)
 
 
 def rebind(x: Elem, tower: FieldTower) -> Elem:
-    """Reattach an element to another tower with the same step prefix."""
+    """Reattach an element to another tower with the same step prefix up to
+    the element's level; raises ValueError for any other tower."""
     if x.level > tower.depth:
         raise ValueError("target tower is too shallow")
+    if truncate(tower, x.level) is not truncate(x.tower, x.level):
+        raise ValueError("target tower differs below the element's level")
     return Elem(tower, x.level, x.rep)
 
 
 def truncate(tower: FieldTower, level: int) -> FieldTower:
-    """A tower consisting of the first ``level`` steps (steps are shared)."""
+    """The tower of the first ``level`` steps: an ancestor of ``tower``."""
     if level > tower.depth:
         raise ValueError("cannot truncate above the top")
-    if level == tower.depth:
-        return tower
-    t = FieldTower(tower.base_field, tower.ring.variables)
-    t.steps = tower.steps[:level]
-    return t
+    while tower.depth > level:
+        tower = tower.parent
+    return tower
 
 
 def fresh_gen_name(tower: FieldTower, base: str = "w") -> str:
@@ -410,7 +428,7 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         if hit is not None:
             raise StepError(
                 "degenerate step: defining element equals w^%d - w for w = %r" % (p, hit))
-        degree, payload = p, a
+        degree, payload = p, a.rep
     elif kind == "insep_root":
         b = rebind(data, tower)
         if b.level > tower.depth:
@@ -422,7 +440,7 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         if root is not None:
             raise StepError(
                 "degenerate step: radicand is the %d-th power of %r" % (p, root))
-        degree, payload = p, b
+        degree, payload = p, b.rep
     elif kind == "simple":
         coeffs = [lift(rebind(c, tower), tower.depth) for c in data]
         degree = len(coeffs) - 1
@@ -440,11 +458,8 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         raise StepError("unknown step kind %r" % kind)
     if tower.degree_of_level(tower.depth) * degree > MAX_TOTAL_DEGREE:
         raise StepError("tower degree limit (%d) exceeded" % MAX_TOTAL_DEGREE)
-    step = ExtStep(kind, gen, payload, degree)
-    new_tower = tower._extended(step)
-    if kind in ("artin_schreier", "insep_root"):
-        step.data = Elem(new_tower, tower.depth, payload.rep)
-    return new_tower
+    return _interned(tower.ring, tower.steps + (ExtStep(kind, gen, payload, degree),),
+                     tower)
 
 
 def _as_degenerate_bounded(tower: FieldTower, a: Elem) -> Optional[Elem]:
@@ -529,7 +544,17 @@ def _pool_candidates(tower: FieldTower, level: int):
 # p-th powers
 # ---------------------------------------------------------------------------
 
-_PTH_ROOT_CACHE: dict = {}
+def _memo_on_prefix(x: Elem, name: str, compute) -> Optional[Elem]:
+    """``compute`` applied to x on the tower below x's level, memoized there
+    by representation, so every tower sharing that prefix shares it."""
+    prefix = truncate(x.tower, x.level)
+
+    def rep_or_none():
+        out = compute(Elem(prefix, x.level, x.rep))
+        return None if out is None else out.rep
+
+    rep = _memo(prefix, (name, x.rep), rep_or_none)
+    return None if rep is None else Elem(x.tower, x.level, rep)
 
 
 def pth_root_in_level(x: Elem) -> Optional[Elem]:
@@ -542,14 +567,7 @@ def pth_root_in_level(x: Elem) -> Optional[Elem]:
     over the base), and over levels with a rational presentation; other
     tower shapes raise.
     """
-    key = (x.tower.signature(x.level), x.level, x.rep)
-    hit = _PTH_ROOT_CACHE.get(key)
-    if hit is not None:
-        found, rep = hit
-        return Elem(x.tower, x.level, rep) if found else None
-    out = _pth_root_uncached(x)
-    _PTH_ROOT_CACHE[key] = (out is not None, out.rep if out is not None else None)
-    return out
+    return _memo_on_prefix(x, "pth_root", _pth_root_uncached)
 
 
 def _pth_root_uncached(x: Elem) -> Optional[Elem]:
@@ -563,11 +581,10 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
             last_insep = k
     target = max(last_insep, level_of_definition(x))
     if target < level:
-        prefix = truncate(tower, target)
-        root0 = pth_root_in_level(rebind(descend(x, target), prefix))
+        root0 = pth_root_in_level(descend(x, target))
         if root0 is None:
             return None
-        return lift(rebind(root0, tower), level)
+        return lift(root0, level)
     steps = tower.steps[:level]
     if all(s.kind == "insep_root" for s in steps):
         radicands = _base_radicands(tower, level)
@@ -648,9 +665,6 @@ def _solve_columns(ops, columns: List[dict], target: dict):
 # Artin-Schreier preimages
 # ---------------------------------------------------------------------------
 
-_AS_PREIMAGE_CACHE: dict = {}
-
-
 def artin_schreier_preimage(a: Elem) -> Optional[Elem]:
     """Some c at the level of a with c^p - c = a, or None.  Memoized.
 
@@ -659,14 +673,7 @@ def artin_schreier_preimage(a: Elem) -> Optional[Elem]:
     base by matching generator coordinates; other tower shapes go through
     the rational presentation when one exists.
     """
-    key = (a.tower.signature(a.level), a.level, a.rep)
-    hit = _AS_PREIMAGE_CACHE.get(key)
-    if hit is not None:
-        found, rep = hit
-        return Elem(a.tower, a.level, rep) if found else None
-    out = _as_preimage_uncached(a)
-    _AS_PREIMAGE_CACHE[key] = (out is not None, out.rep if out is not None else None)
-    return out
+    return _memo_on_prefix(a, "as_preimage", _as_preimage_uncached)
 
 
 def _as_preimage_uncached(a: Elem) -> Optional[Elem]:
@@ -1015,7 +1022,7 @@ def _solve_norm_projected(y: Elem, level_top: int, level_bottom: int,
         return None
     base = truncate(tower, 0)
     try:
-        ext = make_step(base, step.kind, "@p", rebind(descend(data, 0), base))
+        ext = make_step(base, step.kind, "@p", descend(data, 0))
     except StepError:
         return None
     z0 = solve_norm(rebind(y0, ext), 1, 0, degree_bound)
@@ -1062,17 +1069,14 @@ def _coordinate_tuples(tower: FieldTower, dim: int, height: int):
         yield tuple(pool[i] for i in combo)
 
 
-_POOL_CACHE: dict = {}
-
-
 def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
     """Reduced base fractions with max(deg num, deg den) == h, denominator
-    monic; degree means total degree on multivariate bases.  Cached."""
-    ring = tower.ring
-    key = (ring.field.p, ring.field.d, ring.variables, h)
-    cached = _POOL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    monic; degree means total degree on multivariate bases.  Memoized on the
+    base tower."""
+    return _memo(truncate(tower, 0), ("pool", h), lambda: _ratfuncs_built(tower.ring, h))
+
+
+def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     seen = set()
     out = []
     nums = _polys_up_to(ring, h)
@@ -1087,7 +1091,6 @@ def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
             if f not in seen:
                 seen.add(f)
                 out.append(f)
-    _POOL_CACHE[key] = out
     return out
 
 

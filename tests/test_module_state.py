@@ -1,0 +1,46 @@
+"""No module in ``src/charp`` keeps a module-level container it fills at run
+time.
+
+Memo caches live on the interned towers (``towers._memo``); a module-level
+``{}``, ``[]``, ``dict()`` or ``set()`` would be process-wide state that no
+tower owns.  The tower registry itself is the one exemption.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "charp"
+EXEMPT = {("towers.py", "_TOWERS")}
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "set") and not node.args and not node.keywords)
+
+
+def _module_level_empty_containers():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            if not _is_empty_container(value):
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and (path.name, name.id) not in EXEMPT:
+                        yield "%s:%d %s" % (path.name, stmt.lineno, name.id)
+
+
+def test_no_module_level_empty_container():
+    found = list(_module_level_empty_containers())
+    assert not found, "module-level containers outside the tower registry:\n" + "\n".join(found)

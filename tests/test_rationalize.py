@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import rand_elem
-from charp import towers as tw
+from charp import rationalize, towers as tw
+from charp.experiment import ExperimentConfig, run_experiment
 from charp.rationalize import rationalize_level
 from charp.textform import parse_element, parse_tower
 
@@ -71,3 +73,19 @@ def test_constant_extension_grows_the_field():
     F4 = rz.tower.base_field
     iota = rz.forward(tw.gen_elem(T, 1)).constant_value()
     assert F4.sub(F4.pow(iota, 2), iota) == F4.one
+
+
+def test_rationalize_level_builds_once_per_tower_and_level(monkeypatch):
+    # a fresh registry, so the trial's towers and their memos start empty
+    monkeypatch.setattr(tw, "_TOWERS", {})
+    built = Counter()
+    real = rationalize._rationalized
+
+    def counting(tower, level):
+        built[tower, level] += 1
+        return real(tower, level)
+
+    monkeypatch.setattr(rationalize, "_rationalized", counting)
+    report = run_experiment(ExperimentConfig(family="cyclic_step", trials=1, seed=606))
+    assert report.rows and built
+    assert max(built.values()) == 1

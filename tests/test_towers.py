@@ -251,3 +251,36 @@ def test_multivariate_insep_span_p3():
     # t1 * t2 is not a cube there
     y = parse_element("t1*t2", T1, 0)
     assert tw.pth_root_in_level(tw.lift(y, 1)) is None
+
+
+def test_towers_are_interned(f2t):
+    text = "GF(2)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t"
+    T = parse_tower(text)
+    assert parse_tower(text) is T
+    assert tw.FieldTower(FiniteField(2), ["t"]) is f2t
+    assert tw.truncate(T, 0) is f2t
+    one, zero = tw.int_elem(T, 2, 1), tw.int_elem(T, 2, 0)
+    U = tw.make_step(T, "simple", "j", [one, one, zero, one])   # j^3 + j + 1
+    assert tw.truncate(U, T.depth) is T
+
+
+def test_rebind_rejects_a_different_step_prefix():
+    A = parse_tower("GF(2)(t) ; AS i: i^2+i = t")
+    B = parse_tower("GF(2)(t) ; AS i: i^2+i = 1/t")
+    i = tw.gen_elem(A, 1)
+    with pytest.raises(ValueError):
+        tw.rebind(i, B)
+    # the base is shared, so base elements still move between the two
+    t = tw.var_elem(A, "t")
+    assert tw.rebind(t, B).tower is B
+
+
+def test_pth_root_memo_hit_lands_on_the_callers_tower(monkeypatch):
+    T = parse_tower("GF(2)(t) ; ROOT s: s^2 = t")
+    x = parse_element("t*s^2 + s^2", T, 1)          # (t + 1) * t = (s^2 + s)^2
+    root = tw.pth_root_in_level(x)
+    assert root.tower is T and tw.power(root, 2) == x
+    deep = tw.make_step(T, "artin_schreier", "i", tw.int_elem(T, 1, 1))
+    monkeypatch.setattr(tw, "_pth_root_uncached", lambda x: pytest.fail("memo missed"))
+    hit = tw.pth_root_in_level(tw.rebind(x, deep))
+    assert hit.tower is deep and hit.level == 1 and hit.rep == root.rep
