@@ -5,10 +5,21 @@ where a monomial is a tuple of exponents matching the ring's variable list.
 Printing, leading terms and tie-breaks all use graded lexicographic order.
 
 Rational functions are kept in reduced normal form: numerator and
-denominator coprime, denominator's leading coefficient equal to one.  In
-several variables the gcd is computed by content / primitive-part
-recursion, which is all the reduction this package ever needs (no general
-multivariate factorization).
+denominator coprime, denominator's leading coefficient equal to one.  The
+form is unique, and the field operations keep it with Henrici's
+arithmetic: since both operands are reduced, a product needs only the two
+cross gcds, a square none, and a sum the gcd of the denominators plus, when
+that is not constant, the gcd of the new numerator with it.
+
+The gcd with a monomial operand (a nonzero constant among them) is the
+monomial of least exponents, read off without arithmetic.  Operands with
+no variable in common have gcd 1.  Operands with exactly one variable in
+common, every other univariate pair among them, have a gcd in that
+variable alone: the gcd of all their coefficients in the other variables,
+taken on the dense kernel.  Everything else goes by content /
+primitive-part recursion over primitive pseudo-remainder sequences, which
+is all the reduction this package ever needs (no general multivariate
+factorization).
 
 The dense kernel, the ``_upoly_*`` functions, is the only univariate
 arithmetic beyond sums: every univariate product, division, gcd, inverse,
@@ -463,23 +474,27 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     field = ring.field
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    is_zero, mul, sub, zero = field.is_zero, field.mul, field.sub, field.zero
     q: Dict[Monomial, FFElem] = {}
-    r = f
+    r = dict(f.terms)
     glm = g.leading_monomial()
-    glc_inv = field.inv(g.leading_coeff())
-    while not r.is_zero():
-        rlm = r.leading_monomial()
+    glc_inv = field.inv(g.terms[glm])
+    g_terms = list(g.terms.items())
+    while r:
+        rlm = max(r, key=_grlex_key)
         mon = tuple(a - b for a, b in zip(rlm, glm))
         if any(e < 0 for e in mon):
             raise ArithmeticError("inexact polynomial division")
-        c = field.mul(r.terms[rlm], glc_inv)
-        q[mon] = field.add(q.get(mon, field.zero), c)
-        r = r - Poly(ring, {mon: c}) * g
+        c = mul(r[rlm], glc_inv)
+        q[mon] = c
+        for gm, gc in g_terms:
+            m = tuple(a + b for a, b in zip(mon, gm))
+            s = sub(r.get(m, zero), mul(c, gc))
+            if is_zero(s):
+                r.pop(m, None)
+            else:
+                r[m] = s
     return Poly(ring, q)
-
-
-def _gcd_1var(a: Poly, b: Poly) -> Poly:
-    return _sparse(a.ring, _upoly_gcd(a.ring.field, _dense(a), _dense(b)))
 
 
 def poly_inv_mod(a: Poly, m: Poly) -> Poly:
@@ -529,23 +544,49 @@ def _pseudo_rem(f: Poly, g: Poly, var_index: int) -> Poly:
     return r
 
 
+def _support(f: Poly) -> set:
+    """Indices of the variables that occur in f."""
+    return {i for m in f.terms for i, e in enumerate(m) if e}
+
+
+def _gcd_in_var(a: Poly, b: Poly, var_index: int) -> Poly:
+    """gcd of a and b when it can involve only the one variable: the gcd of
+    all their coefficients in the other variables, each a univariate
+    polynomial in that variable, on the dense kernel."""
+    ring, field = a.ring, a.ring.field
+    g = None
+    for f in (a, b):
+        coeffs: Dict[Monomial, Dict[int, FFElem]] = {}
+        for m, c in f.terms.items():
+            coeffs.setdefault(m[:var_index] + m[var_index + 1:], {})[m[var_index]] = c
+        for coeff in coeffs.values():
+            dense = [field.zero] * (max(coeff) + 1)
+            for e, c in coeff.items():
+                dense[e] = c
+            g = dense if g is None else _upoly_gcd(field, g, dense)
+            if len(g) == 1:
+                return ring.one()
+    unit = ring._zero_mon
+    return Poly(ring, {unit[:var_index] + (e,) + unit[var_index + 1:]: c
+                       for e, c in enumerate(g)})
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic-normalized gcd; multivariate case by primitive remainder sequences."""
+    """Monic-normalized gcd; the short cuts listed in the module docstring
+    come before the dense kernel and primitive remainder sequences."""
     ring = a.ring
     if a.is_zero():
         return _normalize_lead(b)
     if b.is_zero():
         return _normalize_lead(a)
-    if ring.nvars == 1:
-        return _gcd_1var(a, b)
-    # pick the first variable occurring in either operand
-    var_index = None
-    for i in range(ring.nvars):
-        if a.degree_in(i) > 0 or b.degree_in(i) > 0:
-            var_index = i
-            break
-    if var_index is None:
-        return ring.one()
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        mon = tuple(min(es) for es in zip(*a.terms, *b.terms))
+        return Poly(ring, {mon: ring.field.one})
+    support_a, support_b = _support(a), _support(b)
+    common = support_a & support_b
+    if len(common) < 2:
+        return _gcd_in_var(a, b, common.pop()) if common else ring.one()
+    var_index = min(support_a | support_b)      # the first variable occurring in either
     ca, cb = _content(a, var_index), _content(b, var_index)
     pa, pb = poly_exact_div(a, ca), poly_exact_div(b, cb)
     if pa.degree_in(var_index) < pb.degree_in(var_index):
@@ -573,7 +614,11 @@ def _normalize_lead(f: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """A reduced fraction of polynomials with normalized denominator."""
+    """A reduced fraction of polynomials with normalized denominator.
+
+    The field operations rely on both operands being reduced (Henrici
+    arithmetic, see the module docstring); ``reduce=False`` is only for
+    pairs already in that form."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -587,14 +632,7 @@ class RatFunc:
                 den = num.ring.one()
             else:
                 g = poly_gcd(num, den)
-                if not g.is_constant():
-                    num = poly_exact_div(num, g)
-                    den = poly_exact_div(den, g)
-                lc = den.leading_coeff()
-                if lc != num.ring.field.one:
-                    inv = num.ring.field.inv(lc)
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+                num, den = _monic_den(_cancel(num, g), _cancel(den, g))
         self.num = num
         self.den = den
         self._hash = None
@@ -632,24 +670,37 @@ class RatFunc:
     # -- field operations --
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d)
+        if g.is_constant():
+            return _coprime(a * d + c * b, b * d)
+        dg = poly_exact_div(d, g)
+        t = a * dg + c * poly_exact_div(b, g)
+        h = poly_gcd(t, g)
+        return _coprime(_cancel(t, h), _cancel(b, h) * dg)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, reduce=False)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if other is self:
+            return RatFunc(a * a, b * b, reduce=False)
+        if a.is_zero() or c.is_zero():
+            return RatFunc.zero(self.ring)
+        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
+        return _coprime(_cancel(a, g1) * _cancel(c, g2), _cancel(b, g2) * _cancel(d, g1))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def inv(self) -> "RatFunc":
-        return RatFunc.one(self.ring) / self
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return _coprime(self.den, self.num)
 
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:
@@ -692,6 +743,28 @@ class RatFunc:
         if rd is None:
             return None
         return RatFunc(rn, rd, reduce=False)
+
+
+def _cancel(f: Poly, g: Poly) -> Poly:
+    """f / g for a monic divisor g of f."""
+    return f if g.is_constant() else poly_exact_div(f, g)
+
+
+def _monic_den(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """num / den scaled so that den's leading coefficient is one."""
+    field = num.ring.field
+    lc = den.leading_coeff()
+    if lc == field.one:
+        return num, den
+    inv = field.inv(lc)
+    return num.scale(inv), den.scale(inv)
+
+
+def _coprime(num: Poly, den: Poly) -> RatFunc:
+    """The RatFunc num / den of a coprime pair."""
+    if num.is_zero():
+        return RatFunc.zero(num.ring)
+    return RatFunc(*_monic_den(num, den), reduce=False)
 
 
 def normalize(num: Poly, den: Poly) -> RatFunc:

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
 from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
-                   poly_divmod_1var, poly_exact_div, poly_inv_mod, _solve_linear,
+                   poly_divmod_1var, poly_exact_div, poly_gcd, poly_inv_mod, _solve_linear,
                    _upoly_divmod, _upoly_inv_mod, _upoly_mul, _upoly_resultant,
                    _upoly_trim)
 
@@ -1077,20 +1077,16 @@ def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
 
 
 def _ratfuncs_built(ring: PolyRing, h: int) -> list:
-    seen = set()
+    # a pair with a common factor reduces to a lower height, and distinct
+    # coprime pairs are distinct reduced fractions
     out = []
     nums = _polys_up_to(ring, h)
-    dens = [d for d in _polys_up_to(ring, h, monic=True)]
+    dens = _polys_up_to(ring, h, monic=True)
     for num in nums:
         for den in dens:
-            if max(num.total_degree(), den.total_degree()) != h:
-                continue
-            f = RatFunc(num, den)
-            if max(f.num.total_degree(), f.den.total_degree()) != h:
-                continue
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
+            if (max(num.total_degree(), den.total_degree()) == h
+                    and poly_gcd(num, den).is_constant()):
+                out.append(RatFunc(num, den, reduce=False))
     return out
 
 

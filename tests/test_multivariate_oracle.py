@@ -1,9 +1,13 @@
 """Differential test of the multivariate gcd against sympy.
 
-Inputs are built as a*c and b*c over GF(2), GF(3) and GF(5) in two
-variables, so the gcd is nontrivial whenever c is; sympy's
-``Poly(..., modulus=p).gcd`` is the reference for the total degree, and the
-result must divide both inputs exactly.  sympy is a test-only dependency.
+Inputs are built as a*c and b*c over GF(2), GF(3) and GF(5), so the gcd is
+nontrivial whenever c is; sympy's ``Poly(..., modulus=p).gcd`` is the
+reference for the total degree, and the result must divide both inputs
+exactly.  Besides general pairs in two variables, the inputs take the
+shapes ``poly_gcd`` answers without the primitive remainder sequence:
+constant and monomial operands (also in one variable), operands with one
+variable in common and disjoint supports; and pairs in three variables.
+sympy is a test-only dependency.
 """
 
 import pytest
@@ -14,11 +18,11 @@ sympy = pytest.importorskip("sympy")
 from charp.ffield import FiniteField
 from charp.poly import Poly, PolyRing, poly_exact_div, poly_gcd
 
-X, Y = sympy.symbols("x y")
+SYMBOLS = sympy.symbols("x y z")
 
 
-def _terms(max_terms=4, max_exp=2):
-    return st.dictionaries(st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+def _terms(max_terms=4, max_exp=2, nvars=2):
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * nvars),
                            st.integers(1, 4), max_size=max_terms)
 
 
@@ -28,8 +32,17 @@ def _poly(ring, terms):
 
 
 def _sym(f):
-    return sympy.Poly.from_dict({mon: c[0] for mon, c in f.terms.items()} or {(0, 0): 0},
-                                X, Y, modulus=f.ring.field.p)
+    n = f.ring.nvars
+    return sympy.Poly.from_dict({mon: c[0] for mon, c in f.terms.items()} or {(0,) * n: 0},
+                                *SYMBOLS[:n], modulus=f.ring.field.p)
+
+
+def _check_gcd(f, g):
+    h = poly_gcd(f, g)
+    assert h.total_degree() == _sym(f).gcd(_sym(g)).total_degree()
+    assert h.leading_coeff() == f.ring.field.one
+    assert poly_exact_div(f, h) * h == f
+    assert poly_exact_div(g, h) * h == g
 
 
 @settings(max_examples=60, deadline=None)
@@ -39,7 +52,42 @@ def test_gcd_matches_sympy(p, ai, bi, ci):
     a, b, c = _poly(R, ai), _poly(R, bi), _poly(R, ci)
     f, g = a * c, b * c
     assume(not f.is_zero() and not g.is_zero())
-    h = poly_gcd(f, g)
-    assert h.total_degree() == _sym(f).gcd(_sym(g)).total_degree()
-    assert poly_exact_div(f, h) * h == f
-    assert poly_exact_div(g, h) * h == g
+    _check_gcd(f, g)
+
+
+# shape: (number of variables, variables that a, b and c may involve, and
+# whether a and c are single terms)
+SHAPES = {
+    "constant operand": (2, (), (0, 1), (), True),
+    "monomial operand": (2, (0, 1), (0, 1), (0, 1), True),
+    "monomial operand in one variable": (1, (0,), (0,), (0,), True),
+    "both in one variable": (2, (1,), (1,), (1,), False),
+    "one operand in one variable": (2, (0,), (0, 1), (0,), False),
+    "disjoint supports": (2, (0,), (1,), (), False),
+    "three variables": (3, (0, 1, 2), (0, 1, 2), (0, 1, 2), False),
+}
+
+
+def _restricted(ring, terms, allowed, single):
+    """Sum of the drawn terms with the exponents of other variables dropped."""
+    p = ring.field.p
+    out = ring.zero()
+    for mon, c in list(terms.items())[:1 if single else None]:
+        mon = tuple(e if i in allowed else 0 for i, e in enumerate(mon))
+        out = out + Poly(ring, {mon: (c % p,)})
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)), st.sampled_from((2, 3, 5)),
+       _terms(nvars=3), _terms(nvars=3), _terms(nvars=3))
+def test_gcd_shortcut_shapes_match_sympy(shape, p, ai, bi, ci):
+    nvars, a_vars, b_vars, c_vars, single = SHAPES[shape]
+    R = PolyRing(FiniteField(p), ["t1", "t2", "t3"][:nvars])
+    a = _restricted(R, {m[:nvars]: k for m, k in ai.items()}, a_vars, single)
+    b = _restricted(R, {m[:nvars]: k for m, k in bi.items()}, b_vars, False)
+    c = _restricted(R, {m[:nvars]: k for m, k in ci.items()}, c_vars, single)
+    f, g = a * c, b * c
+    assume(not f.is_zero() and not g.is_zero())
+    _check_gcd(f, g)
+    _check_gcd(g, f)

@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_poly, rand_ratfunc
 from charp.ffield import FiniteField
 from charp.poly import (Poly, PolyRing, RatFunc, factor_univariate, normalize,
-                        poly_gcd)
+                        poly_exact_div, poly_gcd)
 from charp.textform import format_ratfunc, parse_element
 from charp.towers import FieldTower
 
@@ -150,6 +150,20 @@ def test_multivariate_gcd_reduction():
     frac = RatFunc(f, g)
     assert frac.num == x * y + R.one()
     assert frac.den == x
+
+
+def test_multivariate_exact_division():
+    R = PolyRing(FiniteField(3), ["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    g = x * y + y * y + R.from_int(2)
+    q = x * x + R.from_int(2) * x * y + y + R.one()
+    assert poly_exact_div(q * g, g) == q
+    assert poly_exact_div(R.zero(), g).is_zero()
+    for f in (q * g + R.one(), q * g + x, x * x):
+        with pytest.raises(ArithmeticError):
+            poly_exact_div(f, g)
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div(q, R.zero())
 
 
 def test_pth_root_inverts_pth_power():

@@ -284,3 +284,29 @@ def test_pth_root_memo_hit_lands_on_the_callers_tower(monkeypatch):
     monkeypatch.setattr(tw, "_pth_root_uncached", lambda x: pytest.fail("memo missed"))
     hit = tw.pth_root_in_level(tw.rebind(x, deep))
     assert hit.tower is deep and hit.level == 1 and hit.rep == root.rep
+
+
+def _pool_reference(ring, h):
+    """The height-h candidate pool as first defined: reduce every pair and
+    keep each new fraction whose reduced form still has height h."""
+    seen, out = set(), []
+    for num in tw._polys_up_to(ring, h):
+        for den in tw._polys_up_to(ring, h, monic=True):
+            if max(num.total_degree(), den.total_degree()) != h:
+                continue
+            f = RatFunc(num, den)
+            if max(f.num.total_degree(), f.den.total_degree()) == h and f not in seen:
+                seen.add(f)
+                out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("base", ["GF(2)(t1,t2)", "GF(3)(t)"])
+def test_height_pools_keep_their_elements_and_order(base):
+    # the norm search returns the first hit in pool order, so the order
+    # fixes the witness and the certificate bytes
+    ring = parse_tower(base).ring
+    for h in range(3):
+        pool = tw._ratfuncs_built(ring, h)
+        assert [(f.num, f.den) for f in pool] == \
+            [(f.num, f.den) for f in _pool_reference(ring, h)]
