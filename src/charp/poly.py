@@ -98,6 +98,16 @@ class Poly:
         self.terms = {m: c for m, c in terms.items() if not ring.field.is_zero(c)}
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: Dict[Monomial, FFElem]) -> "Poly":
+        """Wrap ``terms`` without the zero filter: for callers whose dict
+        cannot hold a zero coefficient, and which hand it over unshared."""
+        f = cls.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        f._hash = None
+        return f
+
     # -- queries --
 
     def is_zero(self) -> bool:
@@ -141,11 +151,11 @@ class Poly:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def __neg__(self) -> "Poly":
         field = self.ring.field
-        return Poly(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
+        return Poly._trusted(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -164,13 +174,13 @@ class Poly:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def scale(self, c: FFElem) -> "Poly":
         field = self.ring.field
         if field.is_zero(c):
             return self.ring.zero()
-        return Poly(self.ring, {m: field.mul(c, v) for m, v in self.terms.items()})
+        return Poly._trusted(self.ring, {m: field.mul(c, v) for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -212,7 +222,7 @@ class Poly:
                 out.pop(nm, None)
             else:
                 out[nm] = s
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def substitute(self, values: dict, zero, one, add, mul, embed_coeff):
         """Map each variable through ``values`` into any commutative ring
@@ -241,7 +251,7 @@ class Poly:
             if any(e % p for e in m):
                 return None
             out[tuple(e // p for e in m)] = self.ring.field.pth_root(c)
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
 
 def _generic_pow(x, e, one, mul):

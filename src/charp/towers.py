@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
 from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
-                   poly_divmod_1var, poly_exact_div, poly_gcd, poly_inv_mod, _solve_linear,
+                   poly_divmod_1var, poly_exact_div, poly_inv_mod, _solve_linear,
                    _upoly_divmod, _upoly_inv_mod, _upoly_mul, _upoly_resultant,
                    _upoly_trim)
 
@@ -1077,17 +1077,59 @@ def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
 
 
 def _ratfuncs_built(ring: PolyRing, h: int) -> list:
-    # a pair with a common factor reduces to a lower height, and distinct
-    # coprime pairs are distinct reduced fractions
-    out = []
+    """The height-h pool: num/den for every numerator and monic denominator
+    of total degree <= h, in that nested order, that has height h and is
+    already reduced.
+
+    A pair with a common factor reduces to a lower height, and distinct
+    coprime pairs are distinct reduced fractions, so the pairs are kept
+    unreduced.  Coprimality is read off factor sets instead of gcds: every
+    irreducible factor of a member has total degree <= h, so its monic
+    associate is a member too, and GF(q)[t1..tm] has unique factorization.
+    Two members therefore have a nonconstant common factor exactly when
+    their sets of monic irreducible factors meet.  Every irreducible
+    divides zero, so the zero numerator pairs only with the constant
+    denominator.
+    """
+    field = ring.field
     nums = _polys_up_to(ring, h)
     dens = _polys_up_to(ring, h, monic=True)
+    factors = _factor_sets(dens)
+    dens = [(den, den.total_degree(), factors[den]) for den in dens]
+    everything = frozenset().union(*factors.values())
+    out = []
     for num in nums:
-        for den in dens:
-            if (max(num.total_degree(), den.total_degree()) == h
-                    and poly_gcd(num, den).is_constant()):
+        top = num.total_degree() == h
+        num_factors = (factors[num.scale(field.inv(num.leading_coeff()))]
+                       if not num.is_zero() else everything)
+        for den, d, den_factors in dens:
+            if (top or d == h) and num_factors.isdisjoint(den_factors):
                 out.append(RatFunc(num, den, reduce=False))
     return out
+
+
+def _factor_sets(monics: list) -> dict:
+    """Map each of ``monics``, all monic polynomials of total degree <= h for
+    some h, to its set of monic irreducible factors.
+
+    A sieve, with no division: walked in ascending degree, a member that no
+    product of two earlier members has reached is irreducible, and every
+    product f*g of degree <= h gets the union of the factor sets of f and
+    g.  Leading coefficients multiply, so the product is a monic member."""
+    h = max(f.total_degree() for f in monics)
+    factors: dict = {}
+    walked = []
+    for f in sorted(monics, key=Poly.total_degree):
+        d = f.total_degree()
+        if d == 0:
+            factors[f] = frozenset()
+            continue
+        fs = factors.setdefault(f, frozenset((f,)))
+        walked.append((f, d, fs))
+        for g, e, gs in walked:
+            if d + e <= h:
+                factors[f * g] = fs | gs
+    return factors
 
 
 def _polys_up_to(ring: PolyRing, h: int, monic: bool = False) -> list:

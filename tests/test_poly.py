@@ -198,3 +198,44 @@ def test_fraction_field_laws(an, ad, bn, bd, cn, cd):
     assert x + y == y + x
     if not y.is_zero():
         assert (x / y) * y == x
+
+
+FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(4)": (2, 2)}
+
+
+def _coded_poly(ring, codes):
+    """Coefficients picked from the field's elements by code, zero among
+    them, so the public constructor has zeros to filter."""
+    elems = list(ring.field.elements())
+    return Poly(ring, {mon[:ring.nvars]: elems[k % len(elems)] for mon, k in codes.items()})
+
+
+def _assert_clean(f):
+    assert not any(f.ring.field.is_zero(c) for c in f.terms.values())
+    assert f == Poly(f.ring, dict(f.terms))
+
+
+_codes = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         st.integers(0, 8), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from((1, 2)), _codes, _codes,
+       st.integers(0, 8))
+def test_trusted_results_hold_no_zero_coefficient(field, nvars, xc, yc, k):
+    R = PolyRing(FiniteField(*FIELDS[field]), ["t1", "t2"][:nvars])
+    x, y = _coded_poly(R, xc), _coded_poly(R, yc)
+    elems = list(R.field.elements())
+    c = elems[k % len(elems)]
+    p = R.field.p
+    root = (x ** p).pth_power_root()
+    assert root == x
+    results = [x + (-x), x + y, x - y, -x, x * R.zero(), x * y, x.scale(c), root,
+               x.pth_power_root()]
+    results += [x.derivative(i) for i in range(nvars)]
+    assert (x + (-x)).is_zero() and (x * R.zero()).is_zero()
+    for f in results:
+        if f is not None:
+            _assert_clean(f)
+    for mon in [(0,) * nvars, (1,) * nvars]:
+        assert Poly(R, {mon: R.field.zero}).is_zero()

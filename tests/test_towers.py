@@ -301,12 +301,17 @@ def _pool_reference(ring, h):
     return out
 
 
-@pytest.mark.parametrize("base", ["GF(2)(t1,t2)", "GF(3)(t)"])
+# base -> the largest height checked
+POOL_HEIGHTS = {"GF(2)(t1,t2)": 2, "GF(3)(t)": 3, "GF(2)(t)": 4, "GF(4)(t)": 2,
+                "GF(3)(t1,t2)": 1, "GF(2)(t1,t2,t3)": 1}
+
+
+@pytest.mark.parametrize("base", list(POOL_HEIGHTS))
 def test_height_pools_keep_their_elements_and_order(base):
     # the norm search returns the first hit in pool order, so the order
     # fixes the witness and the certificate bytes
     ring = parse_tower(base).ring
-    for h in range(3):
+    for h in range(POOL_HEIGHTS[base] + 1):
         pool = tw._ratfuncs_built(ring, h)
         assert [(f.num, f.den) for f in pool] == \
             [(f.num, f.den) for f in _pool_reference(ring, h)]
