@@ -27,7 +27,7 @@ from .ffield import FiniteField
 from .oracle import expr_invariants
 from .poly import Poly, RatFunc, factor_univariate
 from .symbols import BrauerExpr, Symbol, reduce_expr
-from .textform import format_expr, format_tower
+from .textform import _as_lhs, format_expr, format_ff, format_tower
 
 FAMILIES = ("symbols", "merge_pipeline", "insep_cyclic", "cyclic_step",
             "cyclic_degree")
@@ -294,7 +294,7 @@ def _trial_cyclic_step(cfg, trial, rng) -> TrialRow:
                tw.Elem(tower, 0, random_radical_slot(rng, tower.ring)))
     scn = Scenario(cfg.p, "split_by_cyclic_p", lambda_bound=1, attached={
         "tower": format_tower(tower) + " ; AS ic: %s = %s" % (
-            _as_lhs_text("ic", cfg.p), _const_text(field, c0)),
+            _as_lhs("ic", cfg.p), format_ff(field, c0)),
         "expr": format_expr(BrauerExpr(tower, 0, [s])),
         "lambda_expr": format_expr(BrauerExpr(tower, 0, [s])),
     })
@@ -307,14 +307,3 @@ def _trial_cyclic_step(cfg, trial, rng) -> TrialRow:
         raise AssertionError("driver changed the invariant vector")
     return TrialRow(trial, "cyclic_step", res.report.rule, res.report.value,
                     res.achieved, True, 0)
-
-
-def _as_lhs_text(gen: str, p: int) -> str:
-    if p == 2:
-        return "%s^2+%s" % (gen, gen)
-    return "%s^%d+%d*%s" % (gen, p, p - 1, gen)
-
-
-def _const_text(field, c) -> str:
-    from .textform import format_ff
-    return format_ff(field, c)

@@ -5,11 +5,9 @@ infinity.  The local invariant of a symbol with slots (a, b) at a place v is
 
     Tr_{k(v)/F_p}( res_v( a * db/b ) )   in   Z/p,
 
-computed after the pole order of a at v has been reduced to be prime to p
-by subtracting elements of the form c^p - c.  Residues are exact: the
-completion at v is expanded in a coefficient field constructed from the
-multiplicative lift of the residue class of t, so digits multiply as
-residue-field elements and the coefficient of the -1 power is the residue.
+read off the principal part of a * db/b at v by the residue theorem (see
+``traced_residue``).  The pole order of a is not reduced first, because
+Tr res_v((c^p - c) db/b) = 0 for every c.
 
 Everything here works on plain rational functions; symbol and expression
 level plumbing lives in the oracle module.
@@ -102,9 +100,6 @@ class ResidueField:
     def pow(self, a: Poly, n: int) -> Poly:
         return _powmod_poly(a, n, self.pi)
 
-    def pth_root(self, a: Poly) -> Poly:
-        return self.pow(a, self.base.p ** (self.base.d * self.e - 1))
-
     def trace_to_prime(self, a: Poly) -> int:
         """Absolute trace of the residue class down to F_p."""
         p = self.base.p
@@ -125,164 +120,43 @@ class ResidueField:
 
 
 # ---------------------------------------------------------------------------
-# exact local expansions
-# ---------------------------------------------------------------------------
-
-class _Completion:
-    """Truncated expansion machinery at one finite place."""
-
-    def __init__(self, pi: Poly, precision: int):
-        self.pi = pi
-        self.res = ResidueField(pi)
-        self.N = max(precision, 1)
-        self.modulus = pi ** self.N
-        self.teich = self._teichmueller()
-
-    def _mod(self, f: Poly) -> Poly:
-        return poly_divmod_1var(f, self.modulus)[1]
-
-    def _teichmueller(self) -> Poly:
-        """The multiplicative lift of the class of t: the fixed point of
-        x -> x^(q^e) congruent to t modulo pi."""
-        qe = self.res.base.order ** self.res.e
-        x = self.res.ring.var(self.res.ring.variables[0])
-        x = self._mod(x)
-        while True:
-            nxt = _powmod_poly(x, qe, self.modulus)
-            if nxt == x:
-                return x
-            x = nxt
-
-    def lift_residue(self, c: Poly) -> Poly:
-        """Evaluate a residue representative at the multiplicative lift."""
-        acc = self.res.ring.zero()
-        for e in range(c.degree_in(0), -1, -1):
-            acc = self._mod(acc * self.teich)
-            coeff = c.terms.get((e,))
-            if coeff is not None:
-                acc = acc + self.res.ring.constant(coeff)
-        return self._mod(acc)
-
-    def digits(self, unit: Poly, count: int) -> List[Poly]:
-        """Leading ``count`` expansion digits of a unit, as residue classes."""
-        out = []
-        cur = self._mod(unit)
-        for _ in range(count):
-            c = self.res.reduce(cur)
-            out.append(c)
-            cur = poly_exact_div(cur - self.lift_residue(c), self.pi)
-        return out
-
-
-def laurent_digits(x: RatFunc, place: Place, upto: int) -> Dict[int, Poly]:
-    """Expansion digits {index: residue class} of x at a place for all
-    indices < ``upto`` (and none below the valuation).  Exact."""
-    if x.is_zero():
-        return {}
-    if place.is_infinite:
-        x = _flip_to_infinity(x)
-        place = Place(x.ring.var(x.ring.variables[0]))
-    pi = place.pi
-    vn, n_unit = poly_valuation(x.num, pi)
-    vd, d_unit = poly_valuation(x.den, pi)
-    v = vn - vd
-    count = upto - v
-    if count <= 0:
-        return {}
-    comp = _Completion(pi, count)
-    inv_d = poly_inv_mod(d_unit, comp.modulus)
-    unit = poly_divmod_1var(n_unit * inv_d, comp.modulus)[1]
-    digits = comp.digits(unit, count)
-    return {v + i: c for i, c in enumerate(digits) if not c.is_zero()}
-
-
-def _flip_to_infinity(x: RatFunc) -> RatFunc:
-    """Rewrite x(t) as a function of u = 1/t (the infinite place moves to u = 0)."""
-    ring = x.ring
-    dn, dd = x.num.degree_in(0), x.den.degree_in(0)
-    rn = _reverse(x.num, dn)
-    rd = _reverse(x.den, dd)
-    shift = dd - dn
-    u = ring.var(ring.variables[0])
-    if shift >= 0:
-        return RatFunc(rn * u ** shift, rd)
-    return RatFunc(rn, rd * u ** (-shift))
-
-
-def _reverse(f: Poly, deg: int) -> Poly:
-    return Poly(f.ring, {(deg - m[0],): c for m, c in f.terms.items()})
-
-
-def residue_of_differential(f: RatFunc, place: Place) -> Poly:
-    """res_v(f dt) as a residue class at v (a polynomial of degree < deg v)."""
-    ring = f.ring
-    if f.is_zero():
-        return ring.zero()
-    if place.is_infinite:
-        # t = 1/u, dt = -u^(-2) du
-        g = _flip_to_infinity(f)
-        u = ring.var(ring.variables[0])
-        integrand = RatFunc(-(g.num), g.den * u * u)
-        digits = laurent_digits(integrand, Place(u), 0)
-        return digits.get(-1, ring.zero())
-    # f dt = (f / pi'(t)) dpi
-    dpi = place.pi.derivative(0)
-    integrand = f / RatFunc.from_poly(dpi)
-    digits = laurent_digits(integrand, place, 0)
-    return digits.get(-1, ring.zero())
-
-
-# ---------------------------------------------------------------------------
 # the local invariant
 # ---------------------------------------------------------------------------
 
-def reduce_pole_at_place(a: RatFunc, place: Place) -> RatFunc:
-    """Subtract terms c^p - c until the pole order of a at the place is prime
-    to p (or the pole is gone).  Other places may change; the value of the
-    traced residue does not."""
-    ring = a.ring
-    field = ring.field
-    p = field.p
-    while not a.is_zero():
-        if place.is_infinite:
-            q, _ = poly_divmod_1var(a.num, a.den)
-            deg = q.degree_in(0)
-            if deg < 1 or deg % p:
-                break
-            lead = field.pth_root(q.terms[(deg,)])
-            c = RatFunc.from_poly(Poly(ring, {(deg // p,): lead}))
-        else:
-            v = valuation(a, place)
-            if v >= 0 or (-v) % p:
-                break
-            m = -v
-            res = ResidueField(place.pi)
-            digit = laurent_digits(a, place, v + 1).get(v, ring.zero())
-            root = res.pth_root(digit)
-            c = RatFunc(root, place.pi ** (m // p))
-        a = a - (c ** p - c)
-    return a
+def traced_residue(f: RatFunc, place: Place) -> int:
+    """Tr_{k(v)/F_p} res_v(f dt), read off the principal part of f at v.
+
+    At a finite place pi, write f = num / (pi^m h) with pi prime to h; the
+    principal part is r / pi^m with r = num / h mod pi^m.  Its only other
+    pole is at infinity, so by the residue theorem its residue traced to
+    GF(q) is the coefficient of t^(m deg pi - 1) in r.  At infinity only the
+    proper part r / den of f has a residue: minus the coefficient of
+    t^(deg den - 1) in r, the denominator being monic."""
+    field = f.ring.field
+    if place.is_infinite:
+        r = poly_divmod_1var(f.num, f.den)[1]
+        c = r.terms.get((f.den.degree_in(0) - 1,))
+        return 0 if c is None else field.trace_to_prime(field.neg(c))
+    m, h = poly_valuation(f.den, place.pi)
+    if m == 0:
+        return 0
+    modulus = place.pi ** m
+    r = poly_divmod_1var(f.num * poly_inv_mod(h, modulus), modulus)[1]
+    c = r.terms.get((m * place.degree - 1,))
+    return 0 if c is None else field.trace_to_prime(c)
 
 
 def local_invariant(a: RatFunc, b: RatFunc, place: Place) -> int:
-    """Tr(res_v(a db/b)) in Z/p, after normalizing a at v."""
+    """Tr(res_v(a db/b)) in Z/p, from the principal part of a db/b at v.
+
+    The pole order of a needs no reduction: Tr res_v((c^p - c) db/b) = 0 for
+    every c, so a and a - (c^p - c) have the same invariant."""
     if b.is_zero():
         raise ValueError("the b slot of a symbol must be nonzero")
-    ring = a.ring
-    p = ring.field.p
-    a = reduce_pole_at_place(a, place)
     if a.is_zero():
         return 0
-    varname = ring.variables[0]
-    dlog = b.derivative(varname) / b
-    integrand = a * dlog
-    res = residue_of_differential(integrand, place)
-    if res.is_zero():
-        return 0
-    if place.is_infinite:
-        rf = ResidueField(ring.var(varname))  # degree-one dummy modulus
-        return rf.trace_to_prime(res) % p
-    return ResidueField(place.pi).trace_to_prime(res) % p
+    dlog = b.derivative(b.ring.variables[0]) / b
+    return traced_residue(a * dlog, place) % a.ring.field.p
 
 
 def support_places(a: RatFunc, b: RatFunc) -> List[Place]:

@@ -27,7 +27,7 @@ power, valuation and resultant runs on it.  It works on coefficient lists,
 low degree first, over any field object with ``zero``, ``one``,
 ``is_zero``, ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  A
 :class:`FiniteField` drives it for GF(q)[t], through the ``Poly`` functions
-below and the residue and completion code of the invariant oracle; a tower
+below and the residue code of the invariant oracle; a tower
 ``LevelOps`` drives it for polynomials over the level below (products,
 inverses, norms).  ``_solve_linear``, the only Gaussian elimination, runs
 over the same field objects.
@@ -35,6 +35,7 @@ over the same field objects.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Dict, Iterable, Tuple
 
@@ -185,14 +186,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _generic_pow(self, e, self.ring.one(), operator.mul)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
@@ -504,7 +498,7 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
                 r.pop(m, None)
             else:
                 r[m] = s
-    return Poly(ring, q)
+    return Poly._trusted(ring, q)
 
 
 def poly_inv_mod(a: Poly, m: Poly) -> Poly:
@@ -527,7 +521,7 @@ def _coeff_map(f: Poly, var_index: int) -> Dict[int, Poly]:
         e = m[var_index]
         rest = tuple(0 if i == var_index else x for i, x in enumerate(m))
         out.setdefault(e, {})[rest] = c
-    return {e: Poly(f.ring, terms) for e, terms in out.items()}
+    return {e: Poly._trusted(f.ring, terms) for e, terms in out.items()}
 
 
 def _content(f: Poly, var_index: int) -> Poly:
@@ -591,7 +585,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _normalize_lead(a)
     if len(a.terms) == 1 or len(b.terms) == 1:
         mon = tuple(min(es) for es in zip(*a.terms, *b.terms))
-        return Poly(ring, {mon: ring.field.one})
+        return Poly._trusted(ring, {mon: ring.field.one})
     support_a, support_b = _support(a), _support(b)
     common = support_a & support_b
     if len(common) < 2:
@@ -715,14 +709,7 @@ class RatFunc:
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:
             return self.inv() ** (-e)
-        result = RatFunc.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _generic_pow(self, e, RatFunc.one(self.ring), operator.mul)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc) and self.num == other.num

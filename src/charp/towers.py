@@ -18,10 +18,10 @@ from itertools import product as _iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
-from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
-                   poly_divmod_1var, poly_exact_div, poly_inv_mod, _solve_linear,
-                   _upoly_divmod, _upoly_inv_mod, _upoly_mul, _upoly_resultant,
-                   _upoly_trim)
+from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _powmod_poly,
+                   factor_univariate, poly_divmod_1var, poly_exact_div, poly_inv_mod,
+                   _solve_linear, _upoly_divmod, _upoly_inv_mod, _upoly_mul,
+                   _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -249,14 +249,7 @@ class LevelOps:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return _generic_pow(a, n, self.one, self.mul)
 
     def from_int(self, n: int):
         if self.level == 0:
@@ -754,7 +747,7 @@ def reduce_artin_schreier_slot(a: Elem) -> Tuple[Elem, Elem]:
                 break
             if changed:
                 continue
-        poly_part, _ = _polynomial_part(cur)
+        poly_part = poly_divmod_1var(cur.num, cur.den)[0]
         dpp = poly_part.degree_in(0)
         if dpp >= 1 and dpp % p == 0:
             lead = field.pth_root(poly_part.terms[(dpp,)])
@@ -762,7 +755,7 @@ def reduce_artin_schreier_slot(a: Elem) -> Tuple[Elem, Elem]:
             cur = cur - (c ** p - c)
             witness = witness + c
             changed = True
-    poly_part, _ = _polynomial_part(cur)
+    poly_part = poly_divmod_1var(cur.num, cur.den)[0]
     const = poly_part.terms.get((0,))
     if const is not None:
         sol = field.solve_artin_schreier(const)
@@ -771,11 +764,6 @@ def reduce_artin_schreier_slot(a: Elem) -> Tuple[Elem, Elem]:
             cur = cur - (c ** p - c)
             witness = witness + c
     return Elem(tower, 0, cur), Elem(tower, 0, witness)
-
-
-def _polynomial_part(x: RatFunc) -> Tuple[Poly, RatFunc]:
-    q, r = poly_divmod_1var(x.num, x.den)
-    return q, RatFunc(r, x.den)
 
 
 def _leading_digit(x: RatFunc, pi: Poly, mult: int) -> Poly:

@@ -5,7 +5,7 @@ A place of odd degree stays irreducible over the bigger constant field and
 its local degree doubles, so an exponent-2 invariant there must die; a
 place of even degree splits into two places of halved degree with local
 degree one, so each carries the original value.  This exercises residue
-fields of degree above one, the multiplicative coefficient lifts, and the
+fields of degree above one, residues read off principal parts, and the
 constant-field rationalization, against plain factorization arithmetic.
 """
 

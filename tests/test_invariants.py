@@ -6,7 +6,7 @@ from conftest import rand_ratfunc
 from charp.ffield import FiniteField
 from charp.invariants import (INF, InvariantVector, Place, RealizeError,
                               index_exponent, local_invariant, realize_pairs,
-                              residue_of_differential, symbol_vector, valuation)
+                              symbol_vector, traced_residue, valuation)
 from charp.poly import PolyRing, RatFunc
 from charp.textform import format_invariant_vector
 
@@ -50,13 +50,14 @@ def test_index_exponent():
 
 
 def test_residue_at_higher_degree_place():
-    # res of dt/pi at (pi) is 1 for any monic irreducible pi (dlog residue)
-    R = ring()
+    # res of dpi/pi at (pi) is 1 (dlog residue), and Tr_{GF(9)/GF(3)}(1) = 2
+    R = ring(3)
     t = R.var("t")
-    pi = t * t + t + R.one()
-    omega = RatFunc(pi.derivative(0), pi)
-    res = residue_of_differential(omega, Place(pi))
-    assert res == R.one()
+    pi = t * t + R.one()
+    place = Place(pi)
+    assert traced_residue(RatFunc(pi.derivative(0), pi), place) == 2
+    assert traced_residue(RatFunc(t, pi), place) == 1
+    assert traced_residue(RatFunc(R.one(), pi), place) == 0
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import rand_poly, rand_ratfunc
 from charp.ffield import FiniteField
-from charp.poly import (Poly, PolyRing, RatFunc, factor_univariate, normalize,
-                        poly_exact_div, poly_gcd)
+from charp.poly import (Poly, PolyRing, RatFunc, _coeff_map, factor_univariate,
+                        normalize, poly_exact_div, poly_gcd)
 from charp.textform import format_ratfunc, parse_element
 from charp.towers import FieldTower
 
@@ -233,6 +233,12 @@ def test_trusted_results_hold_no_zero_coefficient(field, nvars, xc, yc, k):
     results = [x + (-x), x + y, x - y, -x, x * R.zero(), x * y, x.scale(c), root,
                x.pth_power_root()]
     results += [x.derivative(i) for i in range(nvars)]
+    results += [g for i in range(nvars) for g in _coeff_map(x, i).values()]
+    results.append(poly_gcd(x, R.var("t1") ** 2))
+    if not y.is_zero():
+        quotient = poly_exact_div(x * y, y)
+        assert quotient == x
+        results.append(quotient)
     assert (x + (-x)).is_zero() and (x * R.zero()).is_zero()
     for f in results:
         if f is not None:
