@@ -9,7 +9,14 @@ steps keep a univariate rational base rational:
   is GF(Q')(u) for the degree-p constant field extension Q' = Q(x)/(x^p-x-c).
 
 ``rationalize_level`` composes these into a pair of exact maps between a
-tower level and a depth-zero tower, or returns None for other shapes.
+tower level and a depth-zero tower, or returns None for other shapes.  On
+the base GF(q)(t) the composite sends t to w^N, N = p^(number of root
+steps), and each constant through a field embedding GF(q) -> GF(Q).  That
+map is an injective ring map GF(q)[t] -> GF(Q)[w] which multiplies degrees
+by N, so it carries a Bezout identity a*f + b*g = 1 to one for the images:
+coprime stays coprime, and a monic denominator stays monic.  A reduced
+fraction thus maps to a reduced fraction term by term (``_relabel``), with
+no gcd.
 """
 
 from __future__ import annotations
@@ -23,20 +30,27 @@ from . import towers as tw
 
 
 class Rationalization:
-    """An isomorphism between a tower level and GF(Q)(w), both directions."""
+    """An isomorphism between a tower level and GF(Q)(w), both directions.
+
+    Forward, the base variable goes to w^var_exp and a base constant c to
+    embed_const(c).  That injective ring map carries Bezout identities
+    over, so a reduced fraction maps to a reduced one term by term.  The
+    level-i generator goes to gen_images[i - 1].  Backward, w goes to
+    w_source and the generator of GF(Q) to genq_source.
+    """
 
     def __init__(self, source: tw.FieldTower, source_level: int,
                  rat_tower: tw.FieldTower,
                  embed_const: Callable[[FFElem], FFElem],
-                 var_image: RatFunc,
-                 gen_images: List[Optional[RatFunc]],
+                 var_exp: int,
+                 gen_images: List[RatFunc],
                  w_source: tw.Elem,
                  genq_source: tw.Elem):
         self.source = source
         self.source_level = source_level
         self.tower = rat_tower
         self.embed_const = embed_const
-        self.var_image = var_image
+        self.var_exp = var_exp
         self.gen_images = gen_images
         self.w_source = w_source
         self.genq_source = genq_source
@@ -55,42 +69,17 @@ class Rationalization:
 
     def _fwd_rep(self, rep, level: int) -> RatFunc:
         if level == 0:
-            return self._fwd_base(rep)
+            return _relabel(rep, self.ring, self.var_exp, self.embed_const)
         img = self.gen_images[level - 1]
         acc = RatFunc.zero(self.ring)
         for c in reversed(rep):
             acc = acc * img + self._fwd_rep(c, level - 1)
         return acc
 
-    def _fwd_base(self, rf: RatFunc) -> RatFunc:
-        num = self._fwd_poly(rf.num)
-        den = self._fwd_poly(rf.den)
-        return num / den
-
-    def _fwd_poly(self, f: Poly) -> RatFunc:
-        ring = self.ring
-        values = {f.ring.variables[0]: self.var_image}
-        return f.substitute(
-            values,
-            RatFunc.zero(ring), RatFunc.one(ring),
-            lambda a, b: a + b, lambda a, b: a * b,
-            lambda c: RatFunc.from_poly(ring.constant(self.embed_const(c))))
-
     # -- rational -> source --
 
     def backward(self, r: RatFunc) -> tw.Elem:
-        num = self._bwd_poly(r.num)
-        den = self._bwd_poly(r.den)
-        return tw.div(num, den)
-
-    def _bwd_poly(self, f: Poly) -> tw.Elem:
-        level = self.source_level
-        zero = tw.int_elem(self.source, level, 0)
-        one = tw.int_elem(self.source, level, 1)
-        return f.substitute(
-            {self.ring.variables[0]: self.w_source},
-            zero, one, tw.add, tw.mul,
-            lambda c: self._bwd_const(c))
+        return _evaluate(r, self.w_source, self._bwd_const)
 
     def _bwd_const(self, c: FFElem) -> tw.Elem:
         out = tw.int_elem(self.source, self.source_level, 0)
@@ -100,6 +89,26 @@ class Rationalization:
                 out = tw.add(out, tw.mul(tw.int_elem(self.source, self.source_level, digit), power))
             power = tw.mul(power, self.genq_source)
         return out
+
+
+def _relabel(rf: RatFunc, ring: PolyRing, n: int,
+             embed: Callable[[FFElem], FFElem]) -> RatFunc:
+    """A reduced univariate fraction under t -> w^n, constants through the
+    field embedding ``embed``, in ``ring``: reduced already, so no gcd."""
+    def image(f: Poly) -> Poly:
+        return Poly._trusted(ring, {(e * n,): embed(c) for (e,), c in f.terms.items()})
+    return RatFunc(image(rf.num), image(rf.den), reduce=False)
+
+
+def _evaluate(rf: RatFunc, point: tw.Elem,
+              embed: Callable[[FFElem], tw.Elem]) -> tw.Elem:
+    """A univariate fraction at a tower element, constants through ``embed``."""
+    values = {rf.ring.variables[0]: point}
+    zero = tw.int_elem(point.tower, point.level, 0)
+    one = tw.int_elem(point.tower, point.level, 1)
+    num = rf.num.substitute(values, zero, one, tw.add, tw.mul, embed)
+    den = rf.den.substitute(values, zero, one, tw.add, tw.mul, embed)
+    return tw.div(num, den)
 
 
 def rationalize_level(tower: tw.FieldTower, level: int) -> Optional[Rationalization]:
@@ -117,7 +126,7 @@ def _rationalized(tower: tw.FieldTower, level: int) -> Optional[Rationalization]
     rz = Rationalization(
         source=tower, source_level=0, rat_tower=rat,
         embed_const=lambda c: c,
-        var_image=RatFunc.from_poly(rat.ring.var(varname)),
+        var_exp=1,
         gen_images=[],
         w_source=tw.var_elem(tower, varname, 0),
         genq_source=tw.const_elem(tower, tower.base_field.gen, 0),
@@ -142,28 +151,14 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     old_var = rz.ring.variables[0]
     new_var = old_var + "'"
     rat = tw.FieldTower(q_field, [new_var])
-    ring = rat.ring
-    w = RatFunc.from_poly(ring.var(new_var))
 
-    def subst_refine(rf: RatFunc) -> RatFunc:
-        values = {old_var: w ** p}
-        num = rf.num.substitute(values, RatFunc.zero(ring), RatFunc.one(ring),
-                                lambda a, b: a + b, lambda a, b: a * b,
-                                lambda c: RatFunc.from_poly(ring.constant(c)))
-        den = rf.den.substitute(values, RatFunc.zero(ring), RatFunc.one(ring),
-                                lambda a, b: a + b, lambda a, b: a * b,
-                                lambda c: RatFunc.from_poly(ring.constant(c)))
-        return num / den
+    def refine(rf: RatFunc) -> RatFunc:
+        return _relabel(rf, rat.ring, p, lambda c: c)
 
-    b_img = rz.forward(tw.step_defining_elem(tower, lvl))
-    b_in_w = subst_refine(b_img)
-    root = b_in_w.pth_root()
+    root = refine(rz.forward(tw.step_defining_elem(tower, lvl))).pth_root()
     if root is None:
         raise AssertionError("radicand image must become a p-th power after refining")
-
-    new_var_image = subst_refine(rz.var_image)
-    new_gen_images = [None if g is None else subst_refine(g) for g in rz.gen_images]
-    new_gen_images.append(root)
+    gen_images = [refine(g) for g in rz.gen_images] + [root]
 
     # express the refined variable inside the source tower: w satisfies
     # s = root(w) with w^p = u, so solve sum_j gamma_j s^j = w over GF(Q)(u)
@@ -171,7 +166,7 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     u_var = tw.var_elem(helper, old_var)
     helper = tw.make_step(helper, "insep_root", "@w", u_var)
     w_gen = tw.gen_elem(helper, 1)
-    s_helper = _eval_ratfunc_at(root, w_gen, helper)
+    s_helper = _evaluate(root, w_gen, lambda c: tw.const_elem(helper, c, 1))
     cols = []
     cur = tw.int_elem(helper, 1, 1)
     for _ in range(p):
@@ -191,23 +186,11 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     return Rationalization(
         source=tower, source_level=lvl, rat_tower=rat,
         embed_const=rz.embed_const,
-        var_image=new_var_image,
-        gen_images=new_gen_images,
+        var_exp=rz.var_exp * p,
+        gen_images=gen_images,
         w_source=w_source,
         genq_source=tw.lift(rz.genq_source, lvl),
     )
-
-
-def _eval_ratfunc_at(rf: RatFunc, point: tw.Elem, helper: tw.FieldTower) -> tw.Elem:
-    zero = tw.int_elem(helper, point.level, 0)
-    one = tw.int_elem(helper, point.level, 1)
-
-    def embed(c):
-        return tw.const_elem(helper, c, point.level)
-
-    num = rf.num.substitute({rf.ring.variables[0]: point}, zero, one, tw.add, tw.mul, embed)
-    den = rf.den.substitute({rf.ring.variables[0]: point}, zero, one, tw.add, tw.mul, embed)
-    return tw.div(num, den)
 
 
 def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
@@ -234,18 +217,9 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     iota = big.solve_artin_schreier(embed_small(c))
     if iota is None:
         raise AssertionError("constant extension must contain the new generator")
-    varname = rz.ring.variables[0]
-    rat = tw.FieldTower(big, [varname])
-    ring = rat.ring
-
-    def promote(rf: RatFunc) -> RatFunc:
-        num = Poly(ring, {m: embed_small(cf) for m, cf in rf.num.terms.items()})
-        den = Poly(ring, {m: embed_small(cf) for m, cf in rf.den.terms.items()})
-        return RatFunc(num, den)
-
-    new_var_image = promote(rz.var_image)
-    new_gen_images = [None if g is None else promote(g) for g in rz.gen_images]
-    new_gen_images.append(RatFunc.from_poly(ring.constant(iota)))
+    rat = tw.FieldTower(big, [rz.ring.variables[0]])
+    gen_images = [_relabel(g, rat.ring, 1, embed_small) for g in rz.gen_images]
+    gen_images.append(RatFunc.from_poly(rat.ring.constant(iota)))
 
     # the big constant field's generator, written over {iota^j * genQ^k}
     basis_tags = list(product(range(p), range(q_field.d)))
@@ -268,8 +242,8 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     return Rationalization(
         source=tower, source_level=lvl, rat_tower=rat,
         embed_const=lambda x: embed_small(rz.embed_const(x)),
-        var_image=new_var_image,
-        gen_images=new_gen_images,
+        var_exp=rz.var_exp,
+        gen_images=gen_images,
         w_source=tw.lift(rz.w_source, lvl),
         genq_source=genq_new,
     )

@@ -19,7 +19,8 @@ def test_splits_nonsplit(capsys):
 
 def test_splits_with_witness(capsys):
     code, out, _ = run(capsys, "splits", "[1/t, t)_2")
-    assert code == 0 and out.startswith("split:")
+    assert code == 0
+    assert out.strip() == "split: norm witness; witness t*w"
 
 
 def test_splits_unknown_exit_code(capsys):

@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_elem
 from charp import rationalize, towers as tw
 from charp.experiment import ExperimentConfig, run_experiment
+from charp.poly import RatFunc
 from charp.rationalize import rationalize_level
 from charp.textform import parse_element, parse_tower
 
@@ -17,7 +18,20 @@ CASES = [
     "GF(2)(t) ; AS i: i^2+i = 1 ; ROOT s: s^2 = t",
     "GF(3)(t) ; ROOT s: s^3 = t",
     "GF(4)(t) ; ROOT s: s^2 = t^3+g",
+    "GF(2)(t) ; ROOT s: s^2 = t ; AS i: i^2+i = 1 ; ROOT r: r^2 = s",
+    "GF(3)(t) ; AS i: i^3+2*i = 1 ; ROOT s: s^3 = t",
+    "GF(3)(t) ; ROOT s: s^3 = t ; ROOT r: r^3 = s",
 ]
+
+
+def _rand_at(rng, T, level):
+    """A random element of level ``level``, with a term in every generator."""
+    base = tw.truncate(T, 0)
+    x = tw.lift(tw.rebind(rand_elem(rng, base, 2), T), level)
+    for lvl in range(1, level + 1):
+        x = tw.add(x, tw.mul(tw.lift(tw.gen_elem(T, lvl), level),
+                             tw.lift(tw.rebind(rand_elem(rng, base, 1), T), level)))
+    return x
 
 
 @pytest.mark.parametrize("text", CASES)
@@ -27,20 +41,44 @@ def test_roundtrip_and_homomorphism(text):
     rz = rationalize_level(T, level)
     assert rz is not None
     rng = random.Random(hash(text) & 0xFFFF)
-    base = tw.truncate(T, 0)
-    elems = []
-    for _ in range(6):
-        x = tw.lift(tw.rebind(rand_elem(rng, base, 2), T), level)
-        for lvl in range(1, level + 1):
-            x = tw.add(x, tw.mul(tw.lift(tw.gen_elem(T, lvl), level),
-                                 tw.lift(tw.rebind(rand_elem(rng, base, 1), T), level)))
-        elems.append(x)
+    elems = [_rand_at(rng, T, level) for _ in range(6)]
     for x in elems:
         image = rz.forward(x)
         assert rz.backward(image) == x
     for x, y in zip(elems, elems[1:]):
         assert rz.forward(tw.add(x, y)) == rz.forward(x) + rz.forward(y)
         assert rz.forward(tw.mul(x, y)) == rz.forward(x) * rz.forward(y)
+
+
+def _substituted_forward(rz, x, n):
+    """The base map written the long way: num and den substituted into
+    RatFunc arithmetic at t -> w^n, constants through ``rz.embed_const``."""
+    ring = rz.ring
+    w_n = RatFunc.from_poly(ring.var(ring.variables[0])) ** n
+
+    def image(f):
+        return f.substitute({f.ring.variables[0]: w_n},
+                            RatFunc.zero(ring), RatFunc.one(ring),
+                            lambda a, b: a + b, lambda a, b: a * b,
+                            lambda c: RatFunc.from_poly(ring.constant(rz.embed_const(c))))
+    return image(x.rep.num) / image(x.rep.den)
+
+
+@pytest.mark.parametrize("text", CASES)
+def test_forward_matches_substitution_and_stays_reduced(text):
+    T = parse_tower(text)
+    rng = random.Random(hash(text) & 0xFFFF)
+    base = tw.truncate(T, 0)
+    for level in range(T.depth + 1):
+        rz = rationalize_level(T, level)
+        # t -> w^N with N = p^(root steps up to the level), read off the tower
+        n = T.p ** sum(T.step_at(lvl).kind == "insep_root" for lvl in range(1, level + 1))
+        for _ in range(8):
+            x = tw.rebind(rand_elem(rng, base, 3), T)
+            assert rz.forward(x) == _substituted_forward(rz, x, n)
+        for lvl in range(level + 1):
+            img = rz.forward(_rand_at(rng, T, lvl))
+            assert img == RatFunc(img.num, img.den)
 
 
 def test_generators_satisfy_relations_in_the_image():
