@@ -151,12 +151,16 @@ def local_invariant(a: RatFunc, b: RatFunc, place: Place) -> int:
 
     The pole order of a needs no reduction: Tr res_v((c^p - c) db/b) = 0 for
     every c, so a and a - (c^p - c) have the same invariant."""
+    return traced_residue(_symbol_form(a, b), place) % a.ring.field.p
+
+
+def _symbol_form(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a db/b, whose traced residues are the local invariants of (a, b)."""
     if b.is_zero():
         raise ValueError("the b slot of a symbol must be nonzero")
     if a.is_zero():
-        return 0
-    dlog = b.derivative(b.ring.variables[0]) / b
-    return traced_residue(a * dlog, place) % a.ring.field.p
+        return a
+    return a * (b.derivative(b.ring.variables[0]) / b)
 
 
 def support_places(a: RatFunc, b: RatFunc) -> List[Place]:
@@ -239,9 +243,12 @@ def index_exponent(v: InvariantVector) -> Tuple[int, int]:
 
 
 def symbol_vector(a: RatFunc, b: RatFunc, p: int) -> InvariantVector:
+    """The local invariants of (a, b) at every place of its support, with
+    a db/b formed once."""
+    form = _symbol_form(a, b)
     out = InvariantVector(p)
     for place in support_places(a, b):
-        out.add_in(place, local_invariant(a, b, place))
+        out.add_in(place, traced_residue(form, place))
     return out
 
 

@@ -23,14 +23,16 @@ factorization).
 
 The dense kernel, the ``_upoly_*`` functions, is the only univariate
 arithmetic beyond sums: every univariate product, division, gcd, inverse,
-power, valuation and resultant runs on it.  It works on coefficient lists,
-low degree first, over any field object with ``zero``, ``one``,
-``is_zero``, ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  A
-:class:`FiniteField` drives it for GF(q)[t], through the ``Poly`` functions
-below and the residue code of the invariant oracle; a tower
+power, valuation, resultant and evaluation (``_upoly_eval``, the one
+Horner rule) runs on it.  It works on coefficient lists, low degree
+first, over any field object with ``zero``, ``one``, ``is_zero``,
+``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  A
+:class:`FiniteField` drives it for GF(q)[t], through the ``Poly``
+functions below and the residue code of the invariant oracle; a tower
 ``LevelOps`` drives it for polynomials over the level below (products,
-inverses, norms).  ``_solve_linear``, the only Gaussian elimination, runs
-over the same field objects.
+inverses, norms) and for evaluations at elements of its own level.
+``_solve_linear``, the only Gaussian elimination, runs over the same
+field objects.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ class Poly:
     def substitute(self, values: dict, zero, one, add, mul, embed_coeff):
         """Map each variable through ``values`` into any commutative ring
         described by (zero, one, add, mul); coefficients are sent through
-        embed_coeff.  Used for base changes and expression evaluation."""
+        embed_coeff.  The package evaluates with ``_upoly_eval``; this
+        term-by-term form stays as the tests' reference."""
         acc = zero
         for m, c in self.terms.items():
             term = embed_coeff(c)
@@ -386,6 +389,16 @@ def _upoly_valuation(ops, f: list, pi: list) -> Tuple[int, list]:
         if r:
             return v, u
         u, v = q, v + 1
+
+
+def _upoly_eval(ops, a: list, x):
+    """a(x) by Horner's rule, with deg a products."""
+    if not a:
+        return ops.zero
+    acc = a[-1]
+    for c in a[-2::-1]:
+        acc = ops.add(ops.mul(acc, x), c)
+    return acc
 
 
 def _upoly_resultant(ops, f: list, g: list):

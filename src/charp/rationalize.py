@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, List, Optional
 
 from .ffield import FFElem, FiniteField
-from .poly import Poly, PolyRing, RatFunc, _solve_linear
+from .poly import Poly, PolyRing, RatFunc, _dense, _solve_linear, _upoly_eval
 from . import towers as tw
 
 
@@ -70,25 +70,20 @@ class Rationalization:
     def _fwd_rep(self, rep, level: int) -> RatFunc:
         if level == 0:
             return _relabel(rep, self.ring, self.var_exp, self.embed_const)
-        img = self.gen_images[level - 1]
-        acc = RatFunc.zero(self.ring)
-        for c in reversed(rep):
-            acc = acc * img + self._fwd_rep(c, level - 1)
-        return acc
+        return _upoly_eval(tw._ops(self.tower, 0),
+                           [self._fwd_rep(c, level - 1) for c in rep],
+                           self.gen_images[level - 1])
 
     # -- rational -> source --
 
     def backward(self, r: RatFunc) -> tw.Elem:
         return _evaluate(r, self.w_source, self._bwd_const)
 
-    def _bwd_const(self, c: FFElem) -> tw.Elem:
-        out = tw.int_elem(self.source, self.source_level, 0)
-        power = tw.int_elem(self.source, self.source_level, 1)
-        for digit in c:
-            if digit:
-                out = tw.add(out, tw.mul(tw.int_elem(self.source, self.source_level, digit), power))
-            power = tw.mul(power, self.genq_source)
-        return out
+    def _bwd_const(self, c: FFElem):
+        """The representation of a constant of GF(Q): its digits, as a
+        polynomial, at genq_source."""
+        ops = tw._ops(self.source, self.source_level)
+        return _upoly_eval(ops, [ops.from_int(digit) for digit in c], self.genq_source.rep)
 
 
 def _relabel(rf: RatFunc, ring: PolyRing, n: int,
@@ -100,15 +95,16 @@ def _relabel(rf: RatFunc, ring: PolyRing, n: int,
     return RatFunc(image(rf.num), image(rf.den), reduce=False)
 
 
-def _evaluate(rf: RatFunc, point: tw.Elem,
-              embed: Callable[[FFElem], tw.Elem]) -> tw.Elem:
-    """A univariate fraction at a tower element, constants through ``embed``."""
-    values = {rf.ring.variables[0]: point}
-    zero = tw.int_elem(point.tower, point.level, 0)
-    one = tw.int_elem(point.tower, point.level, 1)
-    num = rf.num.substitute(values, zero, one, tw.add, tw.mul, embed)
-    den = rf.den.substitute(values, zero, one, tw.add, tw.mul, embed)
-    return tw.div(num, den)
+def _evaluate(rf: RatFunc, point: tw.Elem, embed: Callable[[FFElem], object]) -> tw.Elem:
+    """A univariate fraction at a tower element, constants through ``embed``
+    to representations at the point's level."""
+    ops = tw._ops(point.tower, point.level)
+
+    def value(f: Poly):
+        coeffs = [embed(c) if any(c) else ops.zero for c in _dense(f)]
+        return _upoly_eval(ops, coeffs, point.rep)
+
+    return tw.Elem(point.tower, point.level, ops.div(value(rf.num), value(rf.den)))
 
 
 def rationalize_level(tower: tw.FieldTower, level: int) -> Optional[Rationalization]:
@@ -166,7 +162,7 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     u_var = tw.var_elem(helper, old_var)
     helper = tw.make_step(helper, "insep_root", "@w", u_var)
     w_gen = tw.gen_elem(helper, 1)
-    s_helper = _evaluate(root, w_gen, lambda c: tw.const_elem(helper, c, 1))
+    s_helper = _evaluate(root, w_gen, lambda c: tw.const_elem(helper, c, 1).rep)
     cols = []
     cur = tw.int_elem(helper, 1, 1)
     for _ in range(p):
@@ -175,14 +171,9 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     sol = tw._solve_columns(tw._ops(helper, 0), cols, tw._coordinates(w_gen, 0))
     if sol is None:
         raise AssertionError("the root generator must generate the refined field")
-    s_src = tw.gen_elem(tower, lvl)
-    w_source = tw.int_elem(tower, lvl, 0)
-    s_pow = tw.int_elem(tower, lvl, 1)
-    for gamma in sol:
-        # gamma lives in GF(Q)(u); pull it back through the previous stage
-        gamma_src = tw.lift(rz.backward(gamma), lvl)
-        w_source = tw.add(w_source, tw.mul(gamma_src, s_pow))
-        s_pow = tw.mul(s_pow, s_src)
+    # w = sum_j gamma_j s^j, each gamma in GF(Q)(u) pulled back through the
+    # previous stage
+    w_source = tw.Elem(tower, lvl, tuple(rz.backward(gamma).rep for gamma in sol))
     return Rationalization(
         source=tower, source_level=lvl, rat_tower=rat,
         embed_const=rz.embed_const,
@@ -206,13 +197,7 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     embed_gen = _embedding_image(q_field, big)
 
     def embed_small(x: FFElem) -> FFElem:
-        out = big.zero
-        power = big.one
-        for digit in x:
-            if digit:
-                out = big.add(out, big.smul(digit, power))
-            power = big.mul(power, embed_gen)
-        return out
+        return _upoly_eval(big, [big.from_int(digit) for digit in x], embed_gen)
 
     iota = big.solve_artin_schreier(embed_small(c))
     if iota is None:
@@ -229,16 +214,12 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     sol = _solve_linear(FiniteField(p), matrix, [(digit,) for digit in big.gen])
     if sol is None:
         raise AssertionError("constant field basis decomposition failed")
-    i_src = tw.gen_elem(tower, lvl)
-    genq_prev = tw.lift(rz.genq_source, lvl)
-    genq_new = tw.int_elem(tower, lvl, 0)
-    for (coeff,), (j, k) in zip(sol, basis_tags):
-        if coeff == 0:
-            continue
-        term = tw.int_elem(tower, lvl, coeff)
-        term = tw.mul(term, tw.power(i_src, j))
-        term = tw.mul(term, tw.power(genq_prev, k))
-        genq_new = tw.add(genq_new, term)
+    # its coordinate at i^j is the constant of GF(Q) whose digits are the
+    # solution entries tagged (j, 0), ..., (j, d - 1)
+    d = q_field.d
+    digits = [coeff for (coeff,) in sol]
+    genq_new = tw.Elem(tower, lvl, tuple(rz._bwd_const(digits[j * d:(j + 1) * d])
+                                         for j in range(p)))
     return Rationalization(
         source=tower, source_level=lvl, rat_tower=rat,
         embed_const=lambda x: embed_small(rz.embed_const(x)),
@@ -252,13 +233,9 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
 def _embedding_image(small: FiniteField, big: FiniteField) -> FFElem:
     """A root of the small field's modulus inside the big field (brute force;
     the constant fields in play stay tiny)."""
-    mod = small.modulus
+    mod = [big.from_int(coeff) for coeff in small.modulus]
     for cand in big.elements():
-        acc = big.zero
-        for coeff in reversed(mod):
-            acc = big.mul(acc, cand)
-            acc = big.add(acc, big.from_int(coeff))
-        if big.is_zero(acc):
+        if big.is_zero(_upoly_eval(big, mod, cand)):
             return cand
     raise AssertionError("no root of the subfield modulus; degrees are incompatible")
 

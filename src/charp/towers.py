@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 from .ffield import FiniteField
 from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _powmod_poly,
                    factor_univariate, poly_divmod_1var, poly_exact_div, poly_inv_mod,
-                   _solve_linear, _upoly_divmod, _upoly_inv_mod, _upoly_mul,
-                   _upoly_resultant, _upoly_trim)
+                   _solve_linear, _upoly_divmod, _upoly_eval, _upoly_inv_mod,
+                   _upoly_mul, _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -475,10 +475,7 @@ def _has_root_at_level(tower: FieldTower, coeffs: List[Elem]) -> bool:
     reps = [c.rep for c in coeffs]
 
     def value_at(rep):
-        acc = ops.zero
-        for c in reversed(reps):
-            acc = ops.add(ops.mul(acc, rep), c)
-        return ops.is_zero(acc)
+        return ops.is_zero(_upoly_eval(ops, reps, rep))
 
     if level == 0 and tower.ring.nvars == 1:
         for cand in _rational_root_candidates(tower, coeffs):
@@ -588,7 +585,7 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
         coords = _pth_span_coordinates(tower, x0.rep, radicands)
         if coords is None:
             return None
-        return _assemble(tower, 0, level, coords.keys(), coords.values())
+        return _from_coordinates(tower, level, coords)
     from .rationalize import rationalize_level
     rz = rationalize_level(tower, level)
     if rz is None:
@@ -705,7 +702,8 @@ def _as_preimage_insep(a: Elem) -> Optional[Elem]:
     c0 = _as_preimage_base(Elem(tower, 0, coords[(0,) * level] - shift))
     if c0 is None:
         return None
-    return add(lift(c0, level), _assemble(tower, 0, level, forced.keys(), forced.values()))
+    forced[(0,) * level] = c0.rep
+    return _from_coordinates(tower, level, forced)
 
 
 def _as_preimage_base(a: Elem) -> Optional[Elem]:
@@ -838,6 +836,22 @@ def _coordinates(x: Elem, low: int) -> dict:
     return out
 
 
+def _from_coordinates(tower: FieldTower, level: int, coords: dict) -> Elem:
+    """The level element with base coordinates ``coords`` (base fractions
+    keyed by generator exponents, absent keys zero): the inverse of
+    ``_coordinates(x, 0)``.  The normal form is the nested coefficient
+    tuple, so no tower product is needed."""
+    zero = RatFunc.zero(tower.ring)
+
+    def build(lvl, suffix):
+        if lvl == 0:
+            return coords.get(suffix, zero)
+        return tuple(build(lvl - 1, (e,) + suffix)
+                     for e in range(tower.step_at(lvl).degree))
+
+    return Elem(tower, level, build(level, ()))
+
+
 def min_poly(x: Elem, down_to: int) -> List[Elem]:
     """Monic minimal polynomial of x over a lower level, as a little-endian
     coefficient list of level-``down_to`` elements: the first power x^k
@@ -882,24 +896,22 @@ def solve_norm(y: Elem, level_top: int, level_bottom: int = 0,
     y; candidate coordinates are base fractions with numerator and
     denominator degrees at most ``degree_bound``.  Returns the first hit in
     canonical enumeration order, or None once the space is exhausted ("not
-    found within the bound" is a value, not an error)."""
+    found within the bound" is a value, not an error).  A bottom above the
+    base goes through ``_solve_norm_shadow``."""
     tower = y.tower
     y = descend(y, level_bottom) if y.level > level_bottom else lift(y, level_bottom)
     if level_top == level_bottom:
         return y if not y.is_zero() else None
     if level_bottom > 0:
-        found = _solve_norm_rationalized(y, level_top, level_bottom, degree_bound)
-        if found is not NotImplemented:
-            return found
-        return _solve_norm_projected(y, level_top, level_bottom, degree_bound)
+        return _solve_norm_shadow(y, level_top, level_bottom, degree_bound)
     if (level_top == 1 and tower.p == 2
             and tower.step_at(1).kind in ("artin_schreier", "insep_root")):
         return _solve_norm_char2_resolvent(y, degree_bound)
-    basis = list(_iproduct(*(range(s.degree) for s in tower.steps[level_bottom:level_top])))
+    basis = list(_iproduct(*(range(s.degree) for s in tower.steps[:level_top])))
     for height in range(degree_bound + 1):
         for vec in _coordinate_tuples(tower, len(basis), height):
-            z = _assemble(tower, level_bottom, level_top, basis, vec)
-            if not z.is_zero() and norm(z, level_bottom) == y:
+            z = _from_coordinates(tower, level_top, dict(zip(basis, vec)))
+            if not z.is_zero() and norm(z, 0) == y:
                 return z
     return None
 
@@ -917,7 +929,7 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     is_as = (step.kind == "artin_schreier")
 
     def finish(c0: RatFunc, c1: RatFunc) -> Elem:
-        z = _assemble(tower, 0, 1, [(0,), (1,)], (c0, c1))
+        z = Elem(tower, 1, (c0, c1))
         if z.is_zero() or norm(z, 0) != y:
             raise AssertionError("norm resolvent produced a bad witness")
         return z
@@ -947,98 +959,49 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     return None
 
 
-def _solve_norm_rationalized(y: Elem, level_top: int, level_bottom: int,
-                             degree_bound: int):
-    """Search a norm witness through the rational presentation of the bottom
-    level, when the extension is a single step defined at or below the
-    bottom.  Returns NotImplemented when the shape is unsupported (the
-    caller then falls back to slow direct enumeration)."""
+def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
+                       degree_bound: int) -> Optional[Elem]:
+    """One non-simple step over a level above the base: solve the same norm
+    equation one step over a depth-zero shadow base, then map the witness's
+    coordinates back.
+
+    With a rational presentation of the bottom level the shadow base is
+    GF(Q)(w), reached by ``forward`` and left by ``backward``: an
+    isomorphism, so the search is as complete as the one over GF(Q)(w).
+    Otherwise the shadow is the base itself, when the step's defining
+    element and y descend there: sound (witnesses lift), but only base
+    coordinates are searched.  Other shapes return None, which callers
+    treat as an exhausted search."""
     tower = y.tower
     if level_top != level_bottom + 1:
-        return NotImplemented
+        return None
     step = tower.step_at(level_top)
     if step.kind == "simple":
-        return NotImplemented
+        return None
     from .rationalize import rationalize_level
     rz = rationalize_level(tower, level_bottom)
-    if rz is None:
-        return NotImplemented
-    data = step_defining_elem(tower, level_top)
-    if data.level > level_bottom:
-        return NotImplemented
-    shadow0 = rz.tower
-    data_img = Elem(shadow0, 0, rz.forward(data))
+    if rz is not None:
+        base, forward, backward = rz.tower, rz.forward, rz.backward
+    else:
+        base = truncate(tower, 0)
+
+        def forward(x: Elem) -> RatFunc:
+            return descend(x, 0).rep
+
+        def backward(c: RatFunc) -> Elem:
+            return lift(Elem(tower, 0, c), level_bottom)
     try:
-        shadow = make_step(shadow0, step.kind, "@g", data_img)
-    except StepError:
-        return NotImplemented
-    y_img = Elem(shadow0, 0, rz.forward(y))
-    z_img = solve_norm(rebind(y_img, shadow), 1, 0, degree_bound)
+        shadow = make_step(base, step.kind, "@g",
+                           Elem(base, 0, forward(step_defining_elem(tower, level_top))))
+        y_img = Elem(shadow, 0, forward(y))
+    except ValueError:  # a StepError, or something above the base
+        return None
+    z_img = solve_norm(y_img, 1, 0, degree_bound)
     if z_img is None:
         return None
-    g_src = gen_elem(tower, level_top)
-    out = int_elem(tower, level_top, 0)
-    g_pow = int_elem(tower, level_top, 1)
-    for coeff in z_img.rep:
-        coeff_src = lift(rz.backward(coeff), level_top)
-        out = add(out, mul(coeff_src, g_pow))
-        g_pow = mul(g_pow, g_src)
-    if norm(out, level_bottom) != descend(y, level_bottom):
+    out = Elem(tower, level_top, tuple(backward(c).rep for c in z_img.rep))
+    if norm(out, level_bottom) != y:
         raise AssertionError("norm witness did not survive the change of coordinates")
-    return out
-
-
-def _solve_norm_projected(y: Elem, level_top: int, level_bottom: int,
-                          degree_bound: int) -> Optional[Elem]:
-    """Tower levels without a rational presentation: search the subextension
-    generated over the base by the same defining data, when both that data
-    and the target descend there.  Sound (witnesses lift), incomplete
-    (coordinates above the base are not enumerated); unsupported shapes
-    return None, which callers treat as an exhausted search."""
-    tower = y.tower
-    if level_top != level_bottom + 1:
-        return None
-    step = tower.step_at(level_top)
-    if step.kind == "simple":
-        return None
-    data = step_defining_elem(tower, level_top)
-    if level_of_definition(data) > 0:
-        return None
-    try:
-        y0 = descend(y, 0)
-    except ValueError:
-        return None
-    base = truncate(tower, 0)
-    try:
-        ext = make_step(base, step.kind, "@p", descend(data, 0))
-    except StepError:
-        return None
-    z0 = solve_norm(rebind(y0, ext), 1, 0, degree_bound)
-    if z0 is None:
-        return None
-    out = int_elem(tower, level_top, 0)
-    g = gen_elem(tower, level_top)
-    g_pow = int_elem(tower, level_top, 1)
-    for coeff in z0.rep:
-        out = add(out, mul(lift(Elem(tower, 0, coeff), level_top), g_pow))
-        g_pow = mul(g_pow, g)
-    if norm(out, level_bottom) != descend(y, level_bottom):
-        raise AssertionError("projected norm witness failed to lift")
-    return out
-
-
-def _assemble(tower, low, high, basis, vec) -> Elem:
-    """Combine base-fraction coordinates against the generator-monomial
-    basis of ``high`` over ``low``: sum_e vec_e * g^e."""
-    out = int_elem(tower, high, 0)
-    for key, c in zip(basis, vec):
-        if c.is_zero():
-            continue
-        term = lift(Elem(tower, 0, c), high)
-        for lvl_off, e in enumerate(key):
-            if e:
-                term = mul(term, power(lift(gen_elem(tower, low + lvl_off + 1), high), e))
-        out = add(out, term)
     return out
 
 

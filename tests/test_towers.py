@@ -175,6 +175,26 @@ def test_solve_norm_examples():
     assert tw.solve_norm(y2, 1, 0, 2) is None
 
 
+@pytest.mark.parametrize("y, witness", [("s", "s*i"), ("t", "s"), ("s+1", None)])
+def test_solve_norm_through_the_rational_presentation(y, witness):
+    # one step over a level with a rational presentation: the search runs
+    # over GF(2)(w), w^2 = t, and the witness comes back through it
+    T = parse_tower("GF(2)(t) ; ROOT s: s^2 = t ; AS i: i^2+i = 1/s")
+    z = tw.solve_norm(parse_element(y, T, 1), 2, 1, 2)
+    assert (None if z is None else format_elem(z)) == witness
+    if z is not None:
+        assert tw.norm(z, 1) == parse_element(y, T, 1)
+
+
+def test_solve_norm_generic_enumeration():
+    # odd characteristic has no resolvent: coordinate tuples are enumerated
+    T = parse_tower("GF(3)(t) ; AS i: i^3+2*i = 1/t")
+    y = parse_element("t", T, 0)
+    z = tw.solve_norm(y, 1, 0, 1)
+    assert format_elem(z) == "t*i^2"
+    assert tw.norm(z, 0) == y
+
+
 def test_solve_norm_sound_and_monotone():
     T = parse_tower("GF(2)(t) ; ROOT s: s^2 = t+1")
     rng = random.Random(9)
