@@ -252,12 +252,19 @@ class Poly:
 
 
 def _generic_pow(x, e, one, mul):
-    result = one
-    base = x
+    """x^e by binary powering, with no product by ``one`` and no squaring
+    past the top bit of e."""
+    if not e:
+        return one
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    result = x
+    e >>= 1
     while e:
+        x = mul(x, x)
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = mul(result, x)
         e >>= 1
     return result
 

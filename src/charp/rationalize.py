@@ -202,7 +202,9 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     iota = big.solve_artin_schreier(embed_small(c))
     if iota is None:
         raise AssertionError("constant extension must contain the new generator")
-    rat = tw.FieldTower(big, [rz.ring.variables[0]])
+    var = rz.ring.variables[0]
+    # over GF(Q), Q > p, the name g is the constant field generator
+    rat = tw.FieldTower(big, [var + "'" if var == "g" else var])
     gen_images = [_relabel(g, rat.ring, 1, embed_small) for g in rz.gen_images]
     gen_images.append(RatFunc.from_poly(rat.ring.constant(iota)))
 

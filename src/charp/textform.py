@@ -2,7 +2,8 @@
 
 Element grammar (shared with the command line): integers, variable names,
 ``+ - * / ^`` and parentheses; constant-field elements are polynomials in
-the generator symbol ``g``.  Symbols are written ``[a, b)_p`` with an
+the generator symbol ``g``, a name no variable or generator may take over
+GF(p^d), d > 1.  Symbols are written ``[a, b)_p`` with an
 optional ``^op`` suffix; expressions join symbols with ``*``; towers are
 ``GF(q)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t``; simple steps are
 ``EXT j: j^2+(t)*j+(t^2) = 0``.
@@ -14,6 +15,7 @@ normal forms; serialized artifacts round-trip byte for byte.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import List, Optional, Tuple
 
@@ -199,19 +201,26 @@ class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._scanned = (None, None)
 
     def peek(self) -> Optional[Tuple[str, str, int]]:
+        at, tok = self._scanned
+        if at == self.pos:
+            return tok
         m = _TOKEN.match(self.text, self.pos)
         if m is None:
             rest = self.text[self.pos:].strip()
             if rest:
                 raise ParseError("unrecognized input %r" % rest[:10], self.pos)
-            return None
-        if m.group(1) is not None:
-            return ("int", m.group(1), m.end())
-        if m.group(2) is not None:
-            return ("name", m.group(2), m.end())
-        return ("op", m.group(3), m.end())
+            tok = None
+        elif m.group(1) is not None:
+            tok = ("int", m.group(1), m.end())
+        elif m.group(2) is not None:
+            tok = ("name", m.group(2), m.end())
+        else:
+            tok = ("op", m.group(3), m.end())
+        self._scanned = (self.pos, tok)
+        return tok
 
     def next(self):
         tok = self.peek()
@@ -237,22 +246,31 @@ class _Cursor:
         return self.peek() is None
 
 
+_RING_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 class ElementParser:
-    """Recursive-descent parser for level elements of a tower."""
+    """Recursive-descent parser for level elements of a tower.
+
+    A subexpression in the base variables, integers and the constant ``g``
+    is read as a ``Poly`` with ring operations only.  It becomes a tower
+    element at the first ``/`` between two polynomials (one reducing
+    ``RatFunc`` construction per fraction), where it meets a generator or
+    a tower element, and at the end of ``parse_cursor``.  The normal form
+    is unique, so the result equals the tower arithmetic of the text."""
 
     def __init__(self, tower, level: int):
         from . import towers as tw
         self.tw = tw
         self.tower = tower
         self.level = level
-        self.names = {}
-        for name in tower.ring.variables:
-            self.names[name] = tw.var_elem(tower, name, level)
+        ring = tower.ring
+        self.names = {name: ring.var(name) for name in ring.variables}
         for lvl in range(1, level + 1):
             gen = tower.steps[lvl - 1].gen
             self.names[gen] = tw.lift(tw.gen_elem(tower, lvl), level)
-        if tower.base_field.d > 1 and "g" not in self.names:
-            self.names["g"] = tw.const_elem(tower, tower.base_field.gen, level)
+        if tower.base_field.d > 1:
+            self.names["g"] = ring.constant(tower.base_field.gen)
 
     def parse(self, text: str):
         cur = _Cursor(text)
@@ -262,10 +280,27 @@ class ElementParser:
         return out
 
     def parse_cursor(self, cur: _Cursor):
-        return self._sum(cur)
+        return self._elem(self._sum(cur))
+
+    def _elem(self, x):
+        """A ``Poly``, ``RatFunc`` or element as an element of the parser's
+        level."""
+        if isinstance(x, Poly):
+            x = RatFunc.from_poly(x)
+        if isinstance(x, RatFunc):
+            x = self.tw.lift(self.tw.Elem(self.tower, 0, x), self.level)
+        return x
+
+    def _apply(self, name: str, a, b):
+        """``a name b`` in the ring while both are polynomials, in the tower
+        otherwise."""
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            if name == "div":
+                return self._elem(RatFunc(a, b))
+            return _RING_OPS[name](a, b)
+        return getattr(self.tw, name)(self._elem(a), self._elem(b))
 
     def _sum(self, cur: _Cursor):
-        tw = self.tw
         neg = False
         while True:
             if cur.accept("op", "-"):
@@ -276,40 +311,37 @@ class ElementParser:
                 break
         acc = self._product(cur)
         if neg:
-            acc = tw.neg(acc)
+            acc = -acc if isinstance(acc, Poly) else self.tw.neg(acc)
         while True:
             if cur.accept("op", "+"):
-                acc = tw.add(acc, self._product(cur))
+                acc = self._apply("add", acc, self._product(cur))
             elif cur.accept("op", "-"):
-                acc = tw.sub(acc, self._product(cur))
+                acc = self._apply("sub", acc, self._product(cur))
             else:
                 return acc
 
     def _product(self, cur: _Cursor):
-        tw = self.tw
         acc = self._factor(cur)
         while True:
             if cur.accept("op", "*"):
-                acc = tw.mul(acc, self._factor(cur))
+                acc = self._apply("mul", acc, self._factor(cur))
             elif cur.accept("op", "/"):
                 pos = cur.pos
                 rhs = self._factor(cur)
                 if rhs.is_zero():
                     raise ParseError("division by zero", pos)
-                acc = tw.div(acc, rhs)
+                acc = self._apply("div", acc, rhs)
             else:
                 return acc
 
     def _factor(self, cur: _Cursor):
-        tw = self.tw
         base = self._atom(cur)
         if cur.accept("op", "^"):
-            tok = cur.expect("int")
-            return tw.power(base, int(tok[1]))
+            n = int(cur.expect("int")[1])
+            return base ** n if isinstance(base, Poly) else self.tw.power(base, n)
         return base
 
     def _atom(self, cur: _Cursor):
-        tw = self.tw
         if cur.accept("op", "("):
             inner = self._sum(cur)
             cur.expect("op", ")")
@@ -319,7 +351,7 @@ class ElementParser:
             raise ParseError("unexpected end of input", cur.pos)
         if tok[0] == "int":
             cur.next()
-            return tw.int_elem(self.tower, self.level, int(tok[1]))
+            return self.tower.ring.from_int(int(tok[1]))
         if tok[0] == "name":
             cur.next()
             el = self.names.get(tok[1])
@@ -401,11 +433,9 @@ def _parse_gf(head: str) -> Tuple[FiniteField, List[str]]:
     if m is None:
         raise ParseError("expected GF(q)(vars)", 0)
     q = int(m.group(1))
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    if q < 2:
+        raise ParseError("constant field size must be a prime power", 0)
+    p = next(cand for cand in range(2, q + 1) if q % cand == 0)
     d = 0
     qq = q
     while qq > 1:
@@ -423,7 +453,10 @@ def parse_tower(text: str):
     from . import towers as tw
     chunks = [c.strip() for c in text.split(";")]
     field, variables = _parse_gf(chunks[0])
-    tower = tw.FieldTower(field, variables)
+    try:
+        tower = tw.FieldTower(field, variables)
+    except ValueError as err:
+        raise ParseError(str(err), 0) from None
     p = field.p
     for chunk in chunks[1:]:
         if not chunk:

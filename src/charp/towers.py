@@ -60,9 +60,14 @@ class FieldTower:
     ``make_step`` and ``truncate`` return the existing tower when an equal
     one was built before, so equal towers are the same object.  Each tower
     links to its ``parent`` (the tower one step lower, None at the base)
-    and carries ``memo``, the cache ``_memo`` keeps on it."""
+    and carries ``memo``, the cache ``_memo`` keeps on it.  Over GF(p^d)
+    with d > 1 the name ``g`` is the constant field generator of the text
+    form, so neither a variable nor a generator may take it."""
 
     def __new__(cls, base_field: FiniteField, base_vars: Sequence[str]):
+        if base_field.d > 1 and "g" in base_vars:
+            raise ValueError("variable name 'g' is reserved for the constant "
+                             "field generator")
         return _interned(PolyRing(base_field, base_vars), (), None)
 
     @property
@@ -407,6 +412,8 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         raise StepError("tower nesting depth limit (%d) reached" % MAX_DEPTH)
     if gen in tower.ring.variables or gen in tower.generator_names():
         raise StepError("generator name %r already in use" % gen)
+    if gen == "g" and tower.base_field.d > 1:
+        raise StepError("generator name 'g' is reserved for the constant field generator")
     p = tower.p
     if kind == "artin_schreier":
         a = rebind(data, tower)

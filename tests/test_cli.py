@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,20 @@ def test_error_exit_codes(tmp_path, capsys):
                                "tower": "GF(2)(t)", "expr": "[1, t)_2"}))
     code3, _, err3 = run(capsys, "decompose", str(scn))
     assert code3 == 2 and "not completed" in err3
+
+
+@pytest.mark.parametrize("tower", ["GF(0)(t)", "GF(1)(t)"])
+def test_field_size_below_two_is_an_error_not_a_traceback(tower):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charp.cli", "invariants", "--tower", tower,
+         "--expr", "[1, t)_2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: constant field size must be a prime power (at position 0)"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_help_documents_grammar(capsys):

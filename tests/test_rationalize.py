@@ -6,9 +6,10 @@ import pytest
 from conftest import rand_elem
 from charp import rationalize, towers as tw
 from charp.experiment import ExperimentConfig, run_experiment
+from charp.oracle import expr_invariants
 from charp.poly import RatFunc
 from charp.rationalize import rationalize_level
-from charp.textform import parse_element, parse_tower
+from charp.textform import format_invariant_vector, parse_element, parse_expr, parse_tower
 
 
 CASES = [
@@ -127,3 +128,16 @@ def test_rationalize_level_builds_once_per_tower_and_level(monkeypatch):
     report = run_experiment(ExperimentConfig(family="cyclic_step", trials=1, seed=606))
     assert report.rows and built
     assert max(built.values()) == 1
+
+
+def test_base_variable_g_is_renamed_over_a_larger_constant_field():
+    """GF(2)(g) is allowed, but once a constant step makes the rational
+    field GF(4)(.), g names the constant generator there: the rational
+    variable becomes g', and printed places stay unambiguous."""
+    T = parse_tower("GF(2)(g) ; AS i: i^2+i = 1")
+    rz = rationalize_level(T, 1)
+    assert rz.ring.variables == ("g'",)
+    x = parse_element("i*g+1/g", T, 1)
+    assert rz.backward(rz.forward(x)) == x
+    vector = expr_invariants(parse_expr("[i*g, g^2+g+1)_2", T, 1))
+    assert format_invariant_vector(vector) == "{(g'+g): 1/2, inf: 1/2}"

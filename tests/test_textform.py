@@ -4,6 +4,7 @@ import pytest
 
 from conftest import rand_elem
 from charp import towers as tw
+from charp.ffield import FiniteField
 from charp.textform import (ParseError, format_elem, format_expr,
                             format_symbol, format_tower, parse_element,
                             parse_expr, parse_symbol, parse_tower)
@@ -87,3 +88,47 @@ def test_tower_rejects_wrong_left_side():
         parse_tower("GF(2)(t) ; ROOT s: s^3 = t")
     with pytest.raises(ParseError):
         parse_tower("GF(6)(t)")
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("1/(t-t)", "division by zero", 2),
+    ("t/0", "division by zero", 2),
+    ("x+1", "unknown variable 'x'", 1),
+    ("t^", "expected int", 2),
+    ("()", "expected a value", 1),
+    ("t 2", "trailing input", 1),
+])
+def test_element_error_messages_and_positions(f2t, text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, f2t)
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
+    assert err.value.pos == pos
+
+
+def test_expression_error_message_and_position(f2t):
+    with pytest.raises(ParseError) as err:
+        parse_expr("[1, t)_2 * ", f2t)
+    assert str(err.value) == "expected [ (at position 10)"
+    assert err.value.pos == 10
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_tower_rejects_field_sizes_below_two(q):
+    with pytest.raises(ParseError, match="constant field size must be a prime power"):
+        parse_tower("GF(%d)(t)" % q)
+
+
+def test_tower_reserves_g_over_extended_constants():
+    with pytest.raises(ParseError, match="'g'"):
+        parse_tower("GF(4)(g)")
+    with pytest.raises(ParseError, match="'g'"):
+        parse_tower("GF(9)(t,g)")
+    with pytest.raises(tw.StepError, match="'g'"):
+        parse_tower("GF(4)(t) ; AS g: g^2+g = 1/t")
+    # the constant g still round-trips through text
+    T = parse_tower("GF(4)(t) ; ROOT s: s^2 = t")
+    c = tw.const_elem(T, FiniteField(2, 2).gen, 1)
+    assert format_elem(c) == "g"
+    assert parse_element(format_elem(c), T, 1) == c
+    # over a prime field g is an ordinary name
+    assert format_tower(parse_tower("GF(2)(g)")) == "GF(2)(g)"

@@ -43,6 +43,24 @@ def test_artin_schreier_rejects_degenerate(f2t):
         tw.make_step(f4t, "artin_schreier", "i", tw.int_elem(f4t, 0, 1))
 
 
+def test_generator_g_is_reserved_over_extended_constants(f2t, f4t):
+    """Over GF(p^d), d > 1, ``g`` is the constant field generator in text;
+    a variable or generator named g would make printing ambiguous."""
+    t = tw.var_elem(f4t, "t")
+    inv_t = tw.div(tw.int_elem(f4t, 0, 1), t)
+    with pytest.raises(tw.StepError, match="'g'"):
+        tw.make_step(f4t, "artin_schreier", "g", inv_t)
+    with pytest.raises(tw.StepError, match="'g'"):
+        tw.make_step(f4t, "insep_root", "g", t)
+    with pytest.raises(ValueError, match="'g'"):
+        tw.FieldTower(FiniteField(2, 2), ["g"])
+    with pytest.raises(ValueError, match="'g'"):
+        tw.FieldTower(FiniteField(3, 2), ["t", "g"])
+    # over a prime field the name is free
+    assert tw.make_step(f2t, "insep_root", "g", tw.var_elem(f2t, "t")).depth == 1
+    assert tw.FieldTower(FiniteField(2), ["g"]).ring.variables == ("g",)
+
+
 def test_simple_step_roundtrip(f2t):
     T = parse_tower("GF(2)(t) ; EXT j: j^2+(t)*j+(t^2) = 0")
     j = tw.gen_elem(T, 1)
