@@ -202,7 +202,7 @@ class Poly:
         from .textform import format_poly
         return format_poly(self)
 
-    # -- calculus and substitution --
+    # -- calculus --
 
     def derivative(self, var_index: int) -> "Poly":
         field = self.ring.field
@@ -220,21 +220,14 @@ class Poly:
                 out[nm] = s
         return Poly._trusted(self.ring, out)
 
-    def substitute(self, values: dict, zero, one, add, mul, embed_coeff):
-        """Map each variable through ``values`` into any commutative ring
-        described by (zero, one, add, mul); coefficients are sent through
-        embed_coeff.  The package evaluates with ``_upoly_eval``; this
-        term-by-term form stays as the tests' reference."""
-        acc = zero
-        for m, c in self.terms.items():
-            term = embed_coeff(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = mul(term, _generic_pow(values[self.ring.variables[i]], e, one, mul))
-            acc = add(acc, term)
-        return acc
-
     # -- characteristic-p structure --
+
+    def pth_power(self) -> "Poly":
+        """self^p by the Frobenius: every exponent times p, every coefficient
+        to its p-th power, with no product."""
+        p, frob = self.ring.field.p, self.ring.field.frob
+        return Poly._trusted(self.ring, {tuple(p * e for e in m): frob(c)
+                                         for m, c in self.terms.items()})
 
     def pth_power_root(self) -> "Poly | None":
         """The polynomial g with g^p = self, or None.

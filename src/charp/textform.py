@@ -28,6 +28,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, pos: int):
         super().__init__("%s (at position %d)" % (message, pos))
+        self.message = message
         self.pos = pos
 
 
@@ -450,61 +451,80 @@ def _parse_gf(head: str) -> Tuple[FiniteField, List[str]]:
 
 
 def parse_tower(text: str):
+    """A tower from its text: ``GF(q)(vars)`` and steps after ``;``.  Every
+    ``ParseError`` position counts from the start of ``text``; errors in a
+    step's shape sit at the start of that step."""
     from . import towers as tw
-    chunks = [c.strip() for c in text.split(";")]
-    field, variables = _parse_gf(chunks[0])
+    chunks = []
+    start = 0
+    for raw in text.split(";"):
+        chunks.append((start + len(raw) - len(raw.lstrip()), raw.strip()))
+        start += len(raw) + 1
+    at, head = chunks[0]
+    field, variables = _at_offset(at, _parse_gf, head)
     try:
         tower = tw.FieldTower(field, variables)
     except ValueError as err:
-        raise ParseError(str(err), 0) from None
+        raise ParseError(str(err), at) from None
     p = field.p
-    for chunk in chunks[1:]:
+    for at, chunk in chunks[1:]:
         if not chunk:
             continue
         m = re.match(r"(AS|ROOT|EXT)\s+([A-Za-z_]\w*)\s*:\s*(.*)$", chunk)
         if m is None:
-            raise ParseError("expected 'AS g: ...', 'ROOT g: ...' or 'EXT g: ...'", 0)
+            raise ParseError("expected 'AS g: ...', 'ROOT g: ...' or 'EXT g: ...'", at)
         kind_word, gen, body = m.group(1), m.group(2), m.group(3)
+        lhs, _, rhs = body.partition("=")
+        rhs_at = at + m.start(3) + len(lhs) + 1
         if kind_word in ("AS", "ROOT"):
-            lhs, _, rhs = body.partition("=")
             if not rhs:
-                raise ParseError("missing '=' in step %r" % chunk, 0)
+                raise ParseError("missing '=' in step %r" % chunk, at)
             want = _as_lhs(gen, p) if kind_word == "AS" else "%s^%d" % (gen, p)
             if lhs.replace(" ", "") != want:
                 raise ParseError(
-                    "step left side must be %r" % want, 0)
-            data = parse_element(rhs.strip(), tower, tower.depth)
+                    "step left side must be %r" % want, at)
+            data = _at_offset(rhs_at + len(rhs) - len(rhs.lstrip()), parse_element,
+                              rhs.strip(), tower, tower.depth)
             kind = "artin_schreier" if kind_word == "AS" else "insep_root"
             tower = tw.make_step(tower, kind, gen, data)
         else:
-            lhs, _, rhs = body.partition("=")
             if rhs.strip() != "0":
-                raise ParseError("simple steps end in '= 0'", 0)
-            coeffs = _parse_simple_lhs(lhs.strip(), gen, tower)
+                raise ParseError("simple steps end in '= 0'", at)
+            coeffs = _parse_simple_lhs(lhs, at + m.start(3), gen, tower)
             tower = tw.make_step(tower, "simple", gen, coeffs)
     return tower
 
 
-def _parse_simple_lhs(lhs: str, gen: str, tower) -> list:
+def _at_offset(offset: int, parse, text: str, *args):
+    """``parse(text, *args)`` for a piece of a longer text that starts at
+    ``offset``: a ``ParseError`` is raised again at its position there."""
+    try:
+        return parse(text, *args)
+    except ParseError as err:
+        raise ParseError(err.message, offset + err.pos) from None
+
+
+def _parse_simple_lhs(lhs: str, offset: int, gen: str, tower) -> list:
     from . import towers as tw
     term_re = re.compile(
         r"(?:\((?P<coeff>[^()]*(?:\([^()]*\)[^()]*)*)\)\*)?"
         r"(?P<gen>%s)(?:\^(?P<exp>\d+))?$" % re.escape(gen))
     level = tower.depth
-    pieces = _split_top_level_plus(lhs)
     coeffs: dict = {}
-    for piece in pieces:
+    for at, piece in _split_top_level_plus(lhs):
+        at += offset + len(piece) - len(piece.lstrip())
         piece = piece.strip()
         m = term_re.fullmatch(piece)
         if m is not None:
             e = int(m.group("exp") or 1)
-            c_text = m.group("coeff") or "1"
+            c_text, c_at = m.group("coeff") or "1", at + max(m.start("coeff"), 0)
         else:
             e = 0
-            c_text = piece[1:-1] if piece.startswith("(") and piece.endswith(")") else piece
+            wrapped = piece.startswith("(") and piece.endswith(")")
+            c_text, c_at = (piece[1:-1], at + 1) if wrapped else (piece, at)
         if e in coeffs:
-            raise ParseError("repeated power %d in simple step" % e, 0)
-        coeffs[e] = parse_element(c_text, tower, level)
+            raise ParseError("repeated power %d in simple step" % e, at)
+        coeffs[e] = _at_offset(c_at, parse_element, c_text, tower, level)
     degree = max(coeffs)
     out = []
     for e in range(degree + 1):
@@ -512,7 +532,8 @@ def _parse_simple_lhs(lhs: str, gen: str, tower) -> list:
     return out
 
 
-def _split_top_level_plus(text: str) -> List[str]:
+def _split_top_level_plus(text: str) -> List[Tuple[int, str]]:
+    """The summands of ``text`` outside parentheses, each with its start."""
     out, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -520,7 +541,7 @@ def _split_top_level_plus(text: str) -> List[str]:
         elif ch == ")":
             depth -= 1
         elif ch == "+" and depth == 0:
-            out.append(text[start:i])
+            out.append((start, text[start:i]))
             start = i + 1
-    out.append(text[start:])
+    out.append((start, text[start:]))
     return out

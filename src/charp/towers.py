@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
 from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _powmod_poly,
-                   factor_univariate, poly_divmod_1var, poly_exact_div, poly_inv_mod,
+                   factor_univariate, poly_divmod_1var, poly_exact_div, poly_gcd, poly_inv_mod,
                    _solve_linear, _upoly_divmod, _upoly_eval, _upoly_inv_mod,
                    _upoly_mul, _upoly_resultant, _upoly_trim)
 
@@ -928,10 +928,26 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     coordinate candidate c1 the norm equation becomes an explicit equation
     for c0 (a square root for root steps, an Artin-Schreier preimage for
     cyclic steps), both decided exactly.  Covers every witness whose c1
-    coordinate has height within the bound, in canonical order."""
+    coordinate has height within the bound, in canonical order.
+
+    With y = a/b and w = wn/wd reduced and c1 = n/d (d monic), both
+    equations have the numerator N = A d^2 - B n^2, where A = a wd,
+    B = b wn and C = b wd are formed once:
+
+    * cyclic step, N(c0 + c1 i) = c0^2 + c0 c1 + c1^2 w = y: substituting
+      c0 = c1 u gives u^2 + u = (y - c1^2 w) / c1^2 = N / (C n^2).  It has
+      a solution only if the reduced denominator is a square (for a reduced
+      u = s/r, u^2 + u = (s^2 + s r) / r^2 is reduced), so
+      ``_square_reduced_den`` rejects the other candidates before any
+      fraction is reduced.
+    * root step, N(c0 + c1 s) = c0^2 + c1^2 w = y: c0^2 = N / (C d^2) is a
+      square exactly when N C = c0^2 (C d)^2 is a square polynomial, so no
+      fraction is reduced but the witness's.
+
+    The squares n^2 and d^2 are Frobenius images."""
     tower = y.tower
     step = tower.step_at(1)
-    w = step_defining_elem(tower, 1)
+    w = step_defining_elem(tower, 1).rep
     y0 = y.rep
     is_as = (step.kind == "artin_schreier")
 
@@ -941,29 +957,87 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
             raise AssertionError("norm resolvent produced a bad witness")
         return z
 
+    if y0.is_zero():
+        return None  # the norm of a nonzero element is nonzero
     root = y0.pth_root()
-    if root is not None and not root.is_zero():
+    if root is not None:
         return finish(root, RatFunc.zero(tower.ring))
+    A, B, C = y0.num * w.den, y0.den * w.num, y0.den * w.den
+    memo: dict = {}
     for h in range(degree_bound + 1):
+        factors = _factors_of_height(tower, h)
         for c1 in _ratfuncs_of_height(tower, h):
             if c1.is_zero():
                 continue
-            c1sq = c1 * c1
+            n, d = c1.num, c1.den
+            n2, d2 = n.pth_power(), d.pth_power()
+            N = A * d2 - B * n2
             if is_as:
-                # N(c0 + c1 i) = c0^2 + c0 c1 + c1^2 w = y:
-                # substituting c0 = c1 u gives u^2 + u = (y - c1^2 w) / c1^2
-                rhs = (y0 - c1sq * w.rep) / c1sq
-                u = _as_preimage_base(Elem(tower, 0, rhs))
+                if not _square_reduced_den(N, n, (A, B, C), factors, memo):
+                    continue
+                u = _as_preimage_base(Elem(tower, 0, RatFunc(N, C * n2)))
                 if u is None:
                     continue
                 return finish(c1 * u.rep, c1)
-            # N(c0 + c1 s) = c0^2 + c1^2 b = y (char 2)
-            c0sq = y0 - c1sq * w.rep
-            c0 = c0sq.pth_root()
-            if c0 is None:
+            if (N * C).pth_power_root() is None:
                 continue
-            return finish(c0, c1)
+            return finish(RatFunc(N, C * d2).pth_root(), c1)
     return None
+
+
+def _square_reduced_den(N: Poly, n: Poly, abc: tuple, factors: dict, memo: dict) -> bool:
+    """Whether N / (C n^2), once reduced, has a square denominator, where
+    c1 = n/d is reduced, (A, B, C) = ``abc`` with A and B nonzero, and
+    N = A d^2 - B n^2.
+
+    ``factors`` is a height pool's sieve (``_factor_sets``) that holds the
+    monic associate of n, so the monic irreducible factors pi of n are
+    known.  At each, with k = v_pi(n), the denominator's valuation
+    v_pi(C) + 2k drops by v_pi(N), capped there, and must stay even.  As pi
+    does not divide d, v_pi(N) = min(v_pi(A), v_pi(B) + 2k) when the two
+    differ; otherwise trial division finds it.  The part C' of C prime to n
+    takes one gcd with N, and C' / gcd(N, C') must be a square.  The two
+    parts are coprime, so the denominator is a square exactly when both
+    are (constants are squares in GF(2^d)).  ``memo`` keeps, for the
+    candidates of one (A, B, C), the valuations of A, B and C at each pi
+    and C' for each set of primes."""
+    if N.is_zero():
+        return True
+    primes = factors[n.scale(n.ring.field.inv(n.leading_coeff()))]
+    for pi in primes:
+        try:
+            va, vb, vc = memo[pi]
+        except KeyError:
+            va, vb, vc = memo[pi] = tuple(_strip(f, pi)[0] for f in abc)
+        k = _strip(n, pi)[0]
+        v_den = vc + 2 * k
+        if va != vb + 2 * k:
+            v_num = min(va, vb + 2 * k)
+        else:
+            v_num = _strip(N, pi, v_den)[0]
+        if (v_den - min(v_num, v_den)) % 2:
+            return False
+    try:
+        rest = memo[primes]
+    except KeyError:
+        rest = abc[2]
+        for pi in primes:
+            rest = _strip(rest, pi)[1]
+        memo[primes] = rest
+    return poly_exact_div(rest, poly_gcd(N, rest)).pth_power_root() is not None
+
+
+def _strip(f: Poly, pi: Poly, cap: Optional[int] = None) -> Tuple[int, Poly]:
+    """(v, f / pi^v) for v = v_pi(f), or ``cap`` when that is smaller, by
+    trial division; f nonzero."""
+    v = 0
+    while v != cap:
+        try:
+            f = poly_exact_div(f, pi)
+        except ArithmeticError:
+            break
+        v += 1
+    return v, f
 
 
 def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
@@ -1034,6 +1108,14 @@ def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
     return _memo(truncate(tower, 0), ("pool", h), lambda: _ratfuncs_built(tower.ring, h))
 
 
+def _factors_of_height(tower: FieldTower, h: int) -> dict:
+    """The sieve ``_factor_sets`` of the monic polynomials of total degree
+    <= h, memoized on the base tower: the height-h pool and the norm
+    resolvent share it."""
+    return _memo(truncate(tower, 0), ("factors", h),
+                 lambda: _factor_sets(_polys_up_to(tower.ring, h, monic=True)))
+
+
 def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     """The height-h pool: num/den for every numerator and monic denominator
     of total degree <= h, in that nested order, that has height h and is
@@ -1052,7 +1134,8 @@ def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     field = ring.field
     nums = _polys_up_to(ring, h)
     dens = _polys_up_to(ring, h, monic=True)
-    factors = _factor_sets(dens)
+    # FieldTower(...) is the interned base tower of the ring
+    factors = _factors_of_height(FieldTower(ring.field, ring.variables), h)
     dens = [(den, den.total_degree(), factors[den]) for den in dens]
     everything = frozenset().union(*factors.values())
     out = []

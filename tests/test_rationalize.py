@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import rand_elem
+from substitution import substitute
 from charp import rationalize, towers as tw
 from charp.experiment import ExperimentConfig, run_experiment
 from charp.oracle import expr_invariants
@@ -58,7 +59,7 @@ def _substituted_forward(rz, x, n):
     w_n = RatFunc.from_poly(ring.var(ring.variables[0])) ** n
 
     def image(f):
-        return f.substitute({f.ring.variables[0]: w_n},
+        return substitute(f, {f.ring.variables[0]: w_n},
                             RatFunc.zero(ring), RatFunc.one(ring),
                             lambda a, b: a + b, lambda a, b: a * b,
                             lambda c: RatFunc.from_poly(ring.constant(rz.embed_const(c))))

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from conftest import rand_poly
+from substitution import substitute
 from charp.ffield import FiniteField
 from charp.invariants import Place, local_invariant, support_places
 from charp.poly import (PolyRing, RatFunc, factor_univariate, poly_divmod_1var,
@@ -33,7 +34,7 @@ def _root(pi):
     F = FiniteField(pi.ring.field.p, pi.degree_in(0))
     embed = lambda c: F.from_int(c[0])
     for alpha in F.elements():
-        if F.is_zero(pi.substitute({"t": alpha}, F.zero, F.one, F.add, F.mul, embed)):
+        if F.is_zero(substitute(pi, {"t": alpha}, F.zero, F.one, F.add, F.mul, embed)):
             return F, alpha
     raise AssertionError("an irreducible polynomial has a root in its residue field")
 
@@ -42,7 +43,7 @@ def _shift(f, value):
     """f(value) for a rational function ``value`` in s over a larger field."""
     S = value.ring
     embed = lambda c: RatFunc.from_poly(S.constant(S.field.from_int(c[0])))
-    to_s = lambda g: g.substitute({"t": value}, RatFunc.zero(S), RatFunc.one(S),
+    to_s = lambda g: substitute(g, {"t": value}, RatFunc.zero(S), RatFunc.one(S),
                                   lambda x, y: x + y, lambda x, y: x * y, embed)
     return to_s(f.num) / to_s(f.den)
 

@@ -1,0 +1,143 @@
+"""Differential test of the characteristic-2 norm resolvent.
+
+For a candidate c1 = n/d the resolvent of ``towers.solve_norm`` used to
+build one reduced fraction per candidate: rhs = (y - c1^2 w) / c1^2 for a
+cyclic step, c0^2 = y - c1^2 w for a root step.  Now, with y = a/b and
+w = wn/wd, it forms N = a wd d^2 - b wn n^2 and C = b wd and reduces no
+fraction for a candidate it rejects:
+
+* cyclic step: rhs = N / (C n^2) needs a square reduced denominator, which
+  ``towers._square_reduced_den`` decides;
+* root step: c0^2 = N / (C d^2) is a square exactly when N C is.
+
+Both verdicts are compared here with the reduced fractions, written out the
+old way, and ``solve_norm`` is compared with a copy of the old candidate
+loop.
+
+Operands come from the height pools over GF(2)(t1,t2), GF(4)(t1,t2) and
+GF(2)(t), with the zero fraction left out of the draw, so every operand is
+nonzero by construction.  A drawn defining element is made nondegenerate by
+construction too: a square radicand b becomes b + t1, an Artin-Schreier
+image a becomes a + 1/t1 (t1 is not a square, and the reduced denominator
+t1 is not one either).
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charp import towers as tw
+from charp.poly import RatFunc
+from charp.textform import parse_element, parse_tower
+
+# base -> the largest height drawn (the GF(4)(t1,t2) pool of height 2 has
+# 5.5 million members)
+BASES = {"GF(2)(t1,t2)": 2, "GF(4)(t1,t2)": 1, "GF(2)(t)": 2}
+
+
+def _draw(data, base, top):
+    """A nonzero member of a height pool of ``base`` up to ``top``, with its
+    height."""
+    h = data.draw(st.integers(0, top))
+    pool = [f for f in tw._ratfuncs_of_height(base, h) if not f.is_zero()]
+    return data.draw(st.sampled_from(pool)), h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BASES)), st.data())
+def test_rejection_matches_the_reduced_fraction(text, data):
+    base = parse_tower(text)
+    top = BASES[text]
+    y0, _ = _draw(data, base, top)
+    w, _ = _draw(data, base, top)
+    abc = (y0.num * w.den, y0.den * w.num, y0.den * w.den)
+    memo: dict = {}  # shared by the candidates of one (y, w), as in the search
+    for _ in range(4):
+        c1, h = _draw(data, base, top)
+        n, d = c1.num, c1.den
+        N = abc[0] * d * d - abc[1] * n * n
+        c1sq = c1 * c1
+        # cyclic step: u^2 + u = rhs
+        rhs = (y0 - c1sq * w) / c1sq
+        verdict = tw._square_reduced_den(N, n, abc, tw._factors_of_height(base, h), memo)
+        assert verdict == (rhs.den.pth_power_root() is not None), (y0, w, c1)
+        # root step: c0^2 = y0 - c1^2 w, a square exactly when N C is
+        c0sq = y0 - c1sq * w
+        assert ((N * abc[2]).pth_power_root() is not None) == (c0sq.pth_root() is not None), \
+            (y0, w, c1)
+
+
+def _reference_resolvent(y, degree_bound):
+    """The resolvent's candidate loop before the rejection test: one reduced
+    fraction per candidate."""
+    tower = y.tower
+    w = tw.step_defining_elem(tower, 1).rep
+    y0 = y.rep
+    root = y0.pth_root()
+    if root is not None and not root.is_zero():
+        return tw.Elem(tower, 1, (root, RatFunc.zero(tower.ring)))
+    for h in range(degree_bound + 1):
+        for c1 in tw._ratfuncs_of_height(tower, h):
+            if c1.is_zero():
+                continue
+            c1sq = c1 * c1
+            if tower.step_at(1).kind == "artin_schreier":
+                rhs = (y0 - c1sq * w) / c1sq
+                u = tw._as_preimage_base(tw.Elem(tower, 0, rhs))
+                if u is None:
+                    continue
+                return tw.Elem(tower, 1, (c1 * u.rep, c1))
+            c0 = (y0 - c1sq * w).pth_root()
+            if c0 is None:
+                continue
+            return tw.Elem(tower, 1, (c0, c1))
+    return None
+
+
+# (base, cyclic step) -> the largest bound drawn.  The old loop reduces a
+# fraction per candidate: it took 1.5-7 s for a search over GF(2)(t1,t2) to
+# bound 2 or over GF(4)(t1,t2) to bound 1 that finds nothing, 2-5 times as
+# long as ``solve_norm``.  So y and w are drawn from heights <= 1, and the
+# searches to bound 2 over GF(2)(t1,t2) are the two fixed cases below.
+SEARCH_BOUNDS = {("GF(2)(t)", True): 2, ("GF(2)(t)", False): 2,
+                 ("GF(2)(t1,t2)", True): 1, ("GF(2)(t1,t2)", False): 1,
+                 ("GF(4)(t1,t2)", True): 1, ("GF(4)(t1,t2)", False): 1}
+
+
+def _assert_same_witness(y, bound):
+    z = tw.solve_norm(y, 1, 0, bound)
+    assert z == _reference_resolvent(y, bound), (y.tower, y, bound)
+    if z is not None:
+        assert tw.norm(z, 0) == y
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(SEARCH_BOUNDS)), st.data())
+def test_solve_norm_matches_the_reference_loop(key, data):
+    text, cyclic = key
+    base = parse_tower(text)
+    t1 = RatFunc.from_poly(base.ring.var(base.ring.variables[0]))
+    w, _ = _draw(data, base, 1)
+    if cyclic:
+        if tw.artin_schreier_preimage(tw.Elem(base, 0, w)) is not None:
+            w = w + t1.inv()
+        T = tw.make_step(base, "artin_schreier", "i", tw.Elem(base, 0, w))
+    else:
+        if w.pth_root() is not None:
+            w = w + t1
+        T = tw.make_step(base, "insep_root", "s", tw.Elem(base, 0, w))
+    y, _ = _draw(data, base, 1)
+    _assert_same_witness(tw.Elem(T, 0, y), data.draw(st.integers(0, SEARCH_BOUNDS[key])))
+
+
+@pytest.mark.parametrize("tower, y", [
+    # the cyclic search of the quadratic witness-only run: a witness
+    ("GF(2)(t1,t2) ; AS w: w^2+w = 1/t1", "t1*t2^2"),
+    # the root step of the witness-only runs: no witness
+    ("GF(2)(t1,t2) ; ROOT r: r^2 = t1", "t2"),
+    # a root step whose witness t2 + t1 r has N = t1 t2^2 and C = t1, so
+    # N C is a square and N is not
+    ("GF(2)(t1,t2) ; ROOT r: r^2 = 1/t1", "t2^2+t1"),
+])
+def test_solve_norm_matches_the_reference_loop_to_bound_2(tower, y):
+    T = parse_tower(tower)
+    _assert_same_witness(parse_element(y, T, 0), 2)

@@ -112,6 +112,24 @@ def test_expression_error_message_and_position(f2t):
     assert err.value.pos == 10
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    # a step body's error counts from the start of the tower text
+    ("GF(2)(t) ; AS i: i^2+i = 1/(t-t)", "division by zero", 27),
+    ("GF(2)(t) ; ROOT s: s^2 = x", "unknown variable 'x'", 26),
+    ("GF(2)(t) ; ROOT s: s^2 = t ; EXT j: j^3+(t/0)*j+(1) = 0", "division by zero", 43),
+    # the tower parser's own errors sit at the start of their step
+    ("GF(2)(t) ; ROOT s: s^2 = t ; FOO j: j^2 = t",
+     "expected 'AS g: ...', 'ROOT g: ...' or 'EXT g: ...'", 29),
+    ("GF(2)(t) ; ROOT s: s^2", "missing '=' in step 'ROOT s: s^2'", 11),
+    ("GF(2)(t) ;  AS i: i^2+1 = 1/t", "step left side must be 'i^2+i'", 12),
+])
+def test_tower_error_positions_count_from_the_whole_text(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_tower(text)
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
+    assert err.value.pos == pos
+
+
 @pytest.mark.parametrize("q", [0, 1])
 def test_tower_rejects_field_sizes_below_two(q):
     with pytest.raises(ParseError, match="constant field size must be a prime power"):

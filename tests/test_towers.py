@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_elem, rand_ratfunc
 from charp.ffield import FiniteField
 from charp.poly import RatFunc
-from charp import towers as tw
+from charp import poly, towers as tw
 from charp.textform import format_elem, parse_element, parse_tower
 
 
@@ -225,6 +225,29 @@ def test_solve_norm_sound_and_monotone():
         if z1 is not None:
             assert tw.norm(z1, 0) == y
             assert z2 is not None  # monotone in the bound
+
+
+def test_char2_resolvent_rejects_candidates_without_reducing(monkeypatch):
+    """The cyclic search of the quadratic witness-only run, to bound 2,
+    counting ``poly_gcd`` calls with their recursion.  Reducing
+    (y - c1^2 w) / c1^2 for every candidate took 13,015 calls; rejecting
+    candidates whose reduced denominator cannot be a square, before any
+    fraction is reduced, takes 824."""
+    calls = [0]
+    gcd = poly.poly_gcd
+
+    def counted(a, b):
+        calls[0] += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    monkeypatch.setattr(tw, "poly_gcd", counted)
+    T = parse_tower("GF(2)(t1,t2) ; AS w: w^2+w = 1/t1")
+    y = parse_element("t1*t2^2", T, 0)
+    calls[0] = 0
+    z = tw.solve_norm(y, 1, 0, 2)
+    assert format_elem(z) == "(t1*t2)*w"
+    assert calls[0] <= 2000
 
 
 def test_p_independence_guard(f2t):
