@@ -18,8 +18,8 @@ witness data that makes it independently re-checkable by field arithmetic:
 
 Verification replays every step from its serialized form; acceptance means
 each step checks and consecutive steps chain exactly.  Malformed input
-(parse failures, level mismatches, bad indices) is reported distinctly from
-mathematical rejection.
+(parse failures, level mismatches, bad indices, fields of the wrong JSON
+type) is reported distinctly from mathematical rejection.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class CertStep:
 
     @staticmethod
     def from_json(doc: dict) -> "CertStep":
+        """The fields as given; ``verify_certificate`` checks their types."""
         return CertStep(doc["kind"], doc["level_before"], doc["level_after"],
-                        list(doc["before"]), list(doc["after"]),
-                        dict(doc.get("witnesses", {})))
+                        doc["before"], doc["after"], doc.get("witnesses", {}))
 
 
 @dataclass
@@ -77,8 +77,12 @@ class Certificate:
     @staticmethod
     def from_json(text: str) -> "Certificate":
         doc = json.loads(text)
-        return Certificate(doc["tower"], doc["p"],
-                           [CertStep.from_json(s) for s in doc["steps"]])
+        try:
+            return Certificate(doc["tower"], doc["p"],
+                               [CertStep.from_json(s) for s in doc["steps"]])
+        except (KeyError, TypeError) as err:
+            raise ValueError("malformed certificate: %s: %s"
+                             % (type(err).__name__, err)) from None
 
 
 class CertBuilder:
@@ -127,7 +131,11 @@ class _Rejected(Exception):
 
 
 def verify_certificate(cert: Certificate) -> VerifyOutcome:
-    """Replay every step; accept exactly when all of them check."""
+    """Replay every step; accept exactly when all of them check.  Each
+    distinct entry text is parsed once per level and call: step k's
+    ``after`` is step k+1's ``before``."""
+    if not isinstance(cert.tower_text, str):
+        return VerifyOutcome(False, None, "bad tower: not a tower text", malformed=True)
     try:
         tower = parse_tower(cert.tower_text)
     except (ParseError, tw.StepError) as err:
@@ -135,10 +143,12 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     if tower.p != cert.p:
         return VerifyOutcome(False, None, "prime does not match the tower", malformed=True)
     prev_after: Optional[BrauerExpr] = None
+    parsed: dict = {}
     for idx, step in enumerate(cert.steps):
         try:
-            before = _parse_entries(tower, step.level_before, step.before)
-            after = _parse_entries(tower, step.level_after, step.after)
+            _check_fields(step)
+            before = _parse_entries(tower, step.level_before, step.before, parsed)
+            after = _parse_entries(tower, step.level_after, step.after, parsed)
             if prev_after is not None and (
                     prev_after.level != before.level
                     or prev_after.entries != before.entries):
@@ -154,23 +164,54 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
     return VerifyOutcome(True)
 
 
-def _parse_entries(tower, level, texts) -> BrauerExpr:
+def _is_index(value) -> bool:
+    """An integer of JSON: ``bool`` is an ``int`` in Python, but no index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_fields(step: CertStep) -> None:
+    for name in ("level_before", "level_after"):
+        if not _is_index(getattr(step, name)):
+            raise _Malformed("%s must be an integer, not %r" % (name, getattr(step, name)))
+    for name in ("before", "after"):
+        texts = getattr(step, name)
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise _Malformed("%s must be a list of entry texts" % name)
+    if not isinstance(step.witness, dict):
+        raise _Malformed("witnesses must be an object")
+
+
+def _parse_entries(tower, level: int, texts, parsed: dict) -> BrauerExpr:
+    """The expression of ``texts`` at ``level``; ``parsed`` keeps the symbol
+    of each (level, text) already read."""
     if level > tower.depth or level < 0:
         raise _Malformed("level %d outside the tower" % level)
     entries = []
     from .textform import parse_symbol
     for text in texts:
-        sym, is_op = parse_symbol(text, tower, level)
-        if is_op:
-            raise _Malformed("certificate entries must be sign-free")
+        sym = parsed.get((level, text))
+        if sym is None:
+            sym, is_op = parse_symbol(text, tower, level)
+            if is_op:
+                raise _Malformed("certificate entries must be sign-free")
+            parsed[level, text] = sym
         entries.append(sym)
     return BrauerExpr(tower, level, entries)
 
 
 def _entry(expr: BrauerExpr, idx) -> Symbol:
-    if not isinstance(idx, int) or idx < 0 or idx >= expr.length():
+    if not _is_index(idx):
+        raise _Malformed("entry index %r is not an integer" % (idx,))
+    if idx < 0 or idx >= expr.length():
         raise _Malformed("entry index %r out of range" % (idx,))
     return expr.entries[idx]
+
+
+def _witness_elem(w: dict, key: str, tower, level: int) -> tw.Elem:
+    text = w.get(key, "")
+    if not isinstance(text, str):
+        raise _Malformed("witness %s must be an element text, not %r" % (key, text))
+    return parse_element(text, tower, level)
 
 
 def _expect(cond: bool, message: str):
@@ -191,6 +232,8 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
     if kind == "MergeSameA":
         i, j = w.get("i"), w.get("j")
         si, sj = _entry(before, i), _entry(before, j)
+        if i == j:
+            raise _Malformed("a merge needs two distinct entries")
         _expect(si.a == sj.a, "merged entries do not share their left slot")
         merged = Symbol(si.a, tw.mul(si.b, sj.b))
         entries = list(before.entries)
@@ -200,7 +243,7 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
                 "merge result does not match")
     elif kind == "ASShift":
         idx = w.get("index")
-        c = parse_element(w.get("c", ""), tower, before.level)
+        c = _witness_elem(w, "c", tower, before.level)
         s = _entry(before, idx)
         t = _entry(after, idx)
         _same_except(before, after, idx)
@@ -209,7 +252,7 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
         _expect(t.a == tw.add(s.a, tw.wp(c)), "left slots do not differ by c^p - c")
     elif kind == "PthPowerShift":
         idx = w.get("index")
-        ww = parse_element(w.get("w", ""), tower, before.level)
+        ww = _witness_elem(w, "w", tower, before.level)
         _expect(not ww.is_zero(), "shift by the p-th power of zero")
         s = _entry(before, idx)
         t = _entry(after, idx)
@@ -232,7 +275,7 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
             ext = splitting_extension(s)
             _expect(ext is not None,
                     "left slot is trivial; use the zero-a form instead")
-            z = parse_element(w.get("z", ""), ext, s.level + 1)
+            z = _witness_elem(w, "z", ext, s.level + 1)
             _expect(not z.is_zero(), "zero norm witness")
             _expect(tw.norm(z, s.level) == tw.rebind(s.b, ext),
                     "witness norm does not equal the radical slot")
@@ -252,7 +295,8 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
             _expect(t == s.lift_to(after.level), "entries are not plain lifts")
     elif kind == "Reorder":
         perm = w.get("perm")
-        if (not isinstance(perm, list) or sorted(perm) != list(range(before.length()))):
+        if (not isinstance(perm, list) or not all(_is_index(k) for k in perm)
+                or sorted(perm) != list(range(before.length()))):
             raise _Malformed("bad permutation")
         _expect(after.entries == tuple(before.entries[i] for i in perm)
                 and after.level == before.level, "reorder result does not match")

@@ -37,14 +37,17 @@ def backend_for(tower: tw.FieldTower, level: int) -> Rationalization:
 
 
 def expr_invariants(expr: BrauerExpr) -> InvariantVector:
-    """Entrywise sum of local invariants over the expression's support."""
+    """Entrywise sum of local invariants over the expression's support.
+
+    Each entry's vector is memoized on the tower below the expression's
+    level, per slot representations: it depends on nothing above."""
     rz = backend_for(expr.tower, expr.level)
+    prefix = tw.truncate(expr.tower, expr.level)
     p = expr.p
     out = InvariantVector(p)
     for s in expr.entries:
-        a = rz.forward(s.a)
-        b = rz.forward(s.b)
-        out = out + symbol_vector(a, b, p)
+        out = out + tw._memo(prefix, ("invariants", s.a.rep, s.b.rep),
+                             lambda: symbol_vector(rz.forward(s.a), rz.forward(s.b), p))
     return out
 
 

@@ -46,8 +46,22 @@ from .ffield import FFElem, FiniteField
 Monomial = Tuple[int, ...]
 
 
+def _memo(owner, key, compute):
+    """``compute()``, run once per key on this owner (an interned tower or
+    a ring) and kept in its ``memo`` (exceptions are not kept)."""
+    try:
+        return owner.memo[key]
+    except KeyError:
+        out = owner.memo[key] = compute()
+        return out
+
+
 class PolyRing:
-    """A polynomial ring: a coefficient field plus an ordered variable list."""
+    """A polynomial ring: a coefficient field plus an ordered variable list.
+
+    ``memo`` is the cache ``_memo`` keeps on the ring (factorizations).  The
+    package builds rings only for interned base towers, so it lives as long
+    as the base tower does."""
 
     def __init__(self, field: FiniteField, variables: Iterable[str]):
         self.field = field
@@ -56,6 +70,7 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         self.nvars = len(self.variables)
         self._zero_mon = (0,) * self.nvars
+        self.memo: dict = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyRing) and self.field == other.field
@@ -858,12 +873,18 @@ def factor_univariate(f: Poly, seed: int = 0) -> Tuple[FFElem, Dict[Poly, int]]:
     Returns (leading coefficient, {monic irreducible: multiplicity}); the
     product of the factors times the leading coefficient equals f.  The
     random choices of equal-degree splitting are driven by the seed, so the
-    output is reproducible.
+    output is reproducible; it is memoized on the ring per polynomial and
+    seed, and every call returns a fresh dict.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.ring.nvars != 1:
         raise ValueError("factor_univariate needs a univariate polynomial")
+    lc, factors = _memo(f.ring, ("factor", f, seed), lambda: _factor_frozen(f, seed))
+    return lc, dict(factors)
+
+
+def _factor_frozen(f: Poly, seed: int) -> Tuple[FFElem, Tuple[Tuple[Poly, int], ...]]:
     rng = random.Random(seed)
     lc = f.leading_coeff()
     f = _normalize_lead(f)
@@ -879,4 +900,4 @@ def factor_univariate(f: Poly, seed: int = 0) -> Tuple[FFElem, Dict[Poly, int]]:
         for irr in _split_squarefree(sqf, rng):
             k, f = poly_valuation(f, irr)
             factors[irr] = factors.get(irr, 0) + k * mult
-    return lc, factors
+    return lc, tuple(factors.items())

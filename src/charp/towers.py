@@ -18,7 +18,7 @@ from itertools import product as _iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField
-from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _powmod_poly,
+from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _powmod_poly,
                    factor_univariate, poly_divmod_1var, poly_exact_div, poly_gcd, poly_inv_mod,
                    _solve_linear, _upoly_divmod, _upoly_eval, _upoly_inv_mod,
                    _upoly_mul, _upoly_resultant, _upoly_trim)
@@ -114,16 +114,6 @@ def _interned(ring: PolyRing, steps: Tuple[ExtStep, ...],
     tower.parent = parent
     tower.memo = {}
     return _TOWERS.setdefault(tower.signature(), tower)
-
-
-def _memo(tower: FieldTower, key, compute):
-    """``compute()``, run once per key on this tower and kept in its memo
-    (exceptions are not kept)."""
-    try:
-        return tower.memo[key]
-    except KeyError:
-        out = tower.memo[key] = compute()
-        return out
 
 
 class Elem:
@@ -904,9 +894,16 @@ def solve_norm(y: Elem, level_top: int, level_bottom: int = 0,
     denominator degrees at most ``degree_bound``.  Returns the first hit in
     canonical enumeration order, or None once the space is exhausted ("not
     found within the bound" is a value, not an error).  A bottom above the
-    base goes through ``_solve_norm_shadow``."""
-    tower = y.tower
+    base goes through ``_solve_norm_shadow``.  Memoized on y's tower, per
+    levels, y at ``level_bottom`` and bound, a None included."""
     y = descend(y, level_bottom) if y.level > level_bottom else lift(y, level_bottom)
+    return _memo(y.tower, ("solve_norm", level_top, level_bottom, y.rep, degree_bound),
+                 lambda: _solve_norm_uncached(y, level_top, level_bottom, degree_bound))
+
+
+def _solve_norm_uncached(y: Elem, level_top: int, level_bottom: int,
+                         degree_bound: int) -> Optional[Elem]:
+    tower = y.tower
     if level_top == level_bottom:
         return y if not y.is_zero() else None
     if level_bottom > 0:

@@ -117,3 +117,22 @@ def test_unknown_kind_malformed(f2t):
     step = CertStep("Teleport", 0, 0, ["[1, t)_2"], [], {})
     out = verify_certificate(base_cert(f2t, [step]))
     assert not out.accepted and out.malformed
+
+
+def test_merge_of_an_entry_with_itself_is_malformed(f2t):
+    # [1/t, t+1)_2 is nonsplit; merging entry 0 with itself and popping it
+    # would "prove" it trivial
+    forged = CertStep("MergeSameA", 0, 0, ["[1/t, t+1)_2"], [], {"i": 0, "j": 0})
+    out = verify_certificate(base_cert(f2t, [forged]))
+    assert not out.accepted and out.malformed and out.failed_step == 0
+
+
+def test_bool_is_not_an_entry_index(f2t):
+    step = CertStep("MergeSameA", 0, 0, ["[1, t)_2", "[1, t+1)_2"], ["[1, t^2+t)_2"],
+                    {"i": False, "j": True})
+    out = verify_certificate(base_cert(f2t, [step]))
+    assert not out.accepted and out.malformed
+    reorder = CertStep("Reorder", 0, 0, ["[1, t)_2", "[t, t)_2"],
+                       ["[t, t)_2", "[1, t)_2"], {"perm": [True, False]})
+    out2 = verify_certificate(base_cert(f2t, [reorder]))
+    assert not out2.accepted and out2.malformed

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -88,14 +89,38 @@ def test_decompose_and_verify_round_trip(tmp_path, capsys):
         assert code3 != 0
 
 
-def test_experiment_command_deterministic(tmp_path, capsys):
+def _without_timings(out):
+    """The experiment output with the ``runtime_ms`` column (found by its
+    header) and the summary's ``total_runtime_ms`` removed; everything
+    else, the ``error`` column included, is kept."""
+    *rows, summary = out.splitlines()
+    table = list(csv.reader(rows))
+    drop = table[0].index("runtime_ms")
+    doc = json.loads(summary)
+    del doc["total_runtime_ms"]
+    return [r[:drop] + r[drop + 1:] for r in table], doc
+
+
+def _assert_experiment_runs_twice_alike(tmp_path, capsys, config):
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({"family": "symbols", "trials": 5, "seed": 2}))
+    cfg.write_text(json.dumps(config))
     code, out_a, _ = run(capsys, "experiment", str(cfg))
     code_b, out_b, _ = run(capsys, "experiment", str(cfg))
     assert code == code_b == 0
-    strip = lambda s: [line.rsplit(",", 2)[0] for line in s.splitlines() if "," in line]
-    assert strip(out_a) == strip(out_b)  # identical rows modulo runtime column
+    rows, summary = _without_timings(out_a)
+    assert len(rows) == config["trials"] + 1
+    assert (rows, summary) == _without_timings(out_b)
+
+
+def test_experiment_command_deterministic(tmp_path, capsys):
+    _assert_experiment_runs_twice_alike(
+        tmp_path, capsys, {"family": "symbols", "trials": 5, "seed": 2})
+
+
+def test_experiment_command_deterministic_on_warm_memos(tmp_path, capsys):
+    # the second run is served from the memos the first one filled
+    _assert_experiment_runs_twice_alike(
+        tmp_path, capsys, {"family": "insep_cyclic", "trials": 3, "seed": 4})
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -129,3 +154,49 @@ def test_help_documents_grammar(capsys):
         main(["--help"])
     out = capsys.readouterr().out
     assert "GF(q)(t)" in out and "[a, b)_p" in out
+
+
+FORGED_MERGE = {"p": 2, "tower": "GF(2)(t)", "steps": [{
+    "kind": "MergeSameA", "level_before": 0, "level_after": 0,
+    "before": ["[1/t, t+1)_2"], "after": [], "witnesses": {"i": 0, "j": 0}}]}
+
+
+def _with_step(**fields):
+    doc = json.loads(json.dumps(FORGED_MERGE))
+    doc["steps"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    FORGED_MERGE,
+    _with_step(before=["[1, t)_2", "[1, t+1)_2"], after=["[1, t^2+t)_2"],
+               witnesses={"i": False, "j": True}),
+    _with_step(kind="ASShift", before=["[1, t)_2"], after=["[1, t)_2"],
+               witnesses={"c": 5, "index": 0}),
+    _with_step(kind="ASShift", level_before="0", before=["[1, t)_2"],
+               after=["[1, t)_2"], witnesses={"c": "0", "index": 0}),
+    _with_step(before="[1/t, t+1)_2"),
+    _with_step(witnesses=[0, 0]),
+], ids=["self-merge", "bool-indices", "int-witness", "str-level", "str-entries",
+        "list-witnesses"])
+def test_verify_reports_forged_and_wrong_typed_steps_as_malformed(tmp_path, capsys, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith("malformed at step 0: ")
+    assert "Traceback" not in err
+
+
+def test_forged_merge_class_is_nonsplit(capsys):
+    code, out, _ = run(capsys, "splits", "--strategy", "invariants", "[1/t, t+1)_2")
+    assert code == 0 and out.strip() == "nonsplit: invariant 1/2 at (t)"
+
+
+def test_verify_reports_a_missing_step_field_without_traceback(tmp_path, capsys):
+    doc = json.loads(json.dumps(FORGED_MERGE))
+    del doc["steps"][0]["level_before"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.strip() == "error: malformed certificate: KeyError: 'level_before'"

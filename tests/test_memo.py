@@ -1,0 +1,111 @@
+"""Differential tests for the memos of pure answers: invariant vectors,
+factorizations and norm searches are computed once per key and come back
+equal to a fresh computation, and certificate replay parses each entry text
+once per call without weakening the chaining check."""
+
+from __future__ import annotations
+
+import pytest
+
+from charp import oracle
+from charp import towers as tw
+from charp.certify import Certificate, CertStep, verify_certificate
+from charp.invariants import symbol_vector
+from charp.poly import PolyRing, factor_univariate
+from charp.ffield import FiniteField
+from charp.symbols import BrauerExpr, Symbol, norm_witness, splitting_extension
+from charp.textform import parse_symbol, parse_tower
+
+# (shallow tower, deeper tower with the same steps below the symbol's level,
+#  level, symbol text); every level here has a rational presentation, and
+#  every symbol a nonzero invariant vector.
+CASES = [
+    ("GF(2)(t)", "GF(2)(t) ; ROOT s: s^2 = t", 0, "[1/(t+1), t^2+t)_2"),
+    ("GF(2)(t) ; ROOT s: s^2 = t", "GF(2)(t) ; ROOT s: s^2 = t ; AS i: i^2+i = s",
+     1, "[1/s, s^2+s+1)_2"),
+    ("GF(3)(t)", "GF(3)(t) ; ROOT s: s^3 = t", 0, "[t/(t^2+1), t+2)_3"),
+    ("GF(3)(t) ; ROOT s: s^3 = t", "GF(3)(t) ; ROOT s: s^3 = t ; AS i: i^3+2*i = s",
+     1, "[1/(s+1), s)_3"),
+    ("GF(4)(t)", "GF(4)(t) ; ROOT s: s^2 = t", 0, "[1/t, t+g)_2"),
+    ("GF(4)(t) ; ROOT s: s^2 = t", "GF(4)(t) ; ROOT s: s^2 = t ; AS i: i^2+i = g*s",
+     1, "[1/s, s+g)_2"),
+]
+
+
+@pytest.mark.parametrize("shallow,deep,level,text", CASES)
+def test_invariants_memo_is_shared_by_deeper_towers(monkeypatch, shallow, deep,
+                                                    level, text):
+    low, high = parse_tower(shallow), parse_tower(deep)
+    assert tw.truncate(high, level) is tw.truncate(low, level)
+    sym, _ = parse_symbol(text, low, level)
+    first = oracle.expr_invariants(BrauerExpr(low, level, [sym]))
+    key = ("invariants", sym.a.rep, sym.b.rep)
+    assert key in tw.truncate(low, level).memo
+
+    calls = []
+    monkeypatch.setattr(oracle, "symbol_vector",
+                        lambda *args: calls.append(args) or symbol_vector(*args))
+    moved = Symbol(tw.rebind(sym.a, high), tw.rebind(sym.b, high))
+    again = oracle.expr_invariants(BrauerExpr(high, level, [moved]))
+    assert calls == []  # served from the memo on the shared prefix
+    rz = oracle.backend_for(high, level)
+    fresh = symbol_vector(rz.forward(moved.a), rz.forward(moved.b), high.p)
+    assert again == first == fresh and not fresh.is_zero()
+    # the memoized vector is not handed out: the sum is a new object
+    again.add_in(next(iter(fresh.entries)), 1)
+    assert oracle.expr_invariants(BrauerExpr(high, level, [moved])) == fresh
+
+
+def test_factorization_memo_survives_a_mutated_result():
+    R = PolyRing(FiniteField(3), ["t"])
+    t = R.var("t")
+    f = (t * t + R.one()) * (t + R.one()) ** 2
+    lc, factors = factor_univariate(f, seed=5)
+    expected = dict(factors)
+    factors.clear()
+    factors[t] = 7
+    lc2, again = factor_univariate(f, seed=5)
+    assert (lc2, again) == (lc, expected)
+    assert again is not factor_univariate(f, seed=5)[1]
+
+
+@pytest.mark.parametrize("text,bound,found", [
+    ("[1, t)_2", 1, False),       # nonsplit: the search finds nothing
+    ("[1/t, t)_2", 2, True),      # split by the witness t*w
+])
+def test_norm_witness_and_solve_norm_share_one_entry(monkeypatch, text, bound, found):
+    base = parse_tower("GF(2)(t)")
+    sym, _ = parse_symbol(text, base, 0)
+    z = norm_witness(sym, bound)
+    assert (z is not None) == found
+    ext = splitting_extension(sym)
+    y = tw.rebind(sym.b, ext)
+    key = ("solve_norm", 1, 0, y.rep, bound)
+    assert key in ext.memo and ext.memo[key] == z
+
+    def no_search(*args):
+        raise AssertionError("the norm search ran again")
+
+    monkeypatch.setattr(tw, "_solve_norm_uncached", no_search)
+    assert tw.solve_norm(y, 1, 0, bound) == z
+    assert norm_witness(sym, bound) == z
+
+
+def _shift_chain(second_before):
+    """[1, t)_2 shifted by c = t, then by c = 0, with the second step's
+    ``before`` written as given."""
+    first = CertStep("ASShift", 0, 0, ["[1, t)_2"], ["[t^2+t+1, t)_2"],
+                     {"c": "t", "index": 0})
+    second = CertStep("ASShift", 0, 0, [second_before], [second_before],
+                      {"c": "0", "index": 0})
+    return Certificate("GF(2)(t)", 2, [first, second])
+
+
+def test_replay_chains_equal_entries_written_differently():
+    assert verify_certificate(_shift_chain("[1+t+t^2, t)_2")).accepted
+
+
+def test_replay_still_rejects_a_broken_chain():
+    out = verify_certificate(_shift_chain("[t^2+t, t)_2"))
+    assert not out.accepted and out.malformed and out.failed_step == 1
+    assert out.reason == "step does not chain from the previous one"

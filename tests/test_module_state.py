@@ -1,9 +1,10 @@
 """No module in ``src/charp`` keeps a module-level container it fills at run
 time.
 
-Memo caches live on the interned towers (``towers._memo``); a module-level
-``{}``, ``[]``, ``dict()`` or ``set()`` would be process-wide state that no
-tower owns.  The tower registry itself is the one exemption.
+Memo caches live on the interned towers and their rings (``poly._memo``);
+a module-level ``{}``, ``[]``, ``dict()`` or ``set()`` would be
+process-wide state that no tower owns.  The tower registry itself is the
+one exemption.
 """
 
 from __future__ import annotations
