@@ -22,7 +22,7 @@ from . import towers as tw
 from .certify import CertBuilder, Certificate, verify_certificate
 from .invariants import BackendError, RealizeError
 from .oracle import expr_invariants, expr_is_split, is_split, realize
-from .symbols import BrauerExpr, Symbol, reduce_expr
+from .symbols import BrauerExpr, LevelMismatch, Symbol, reduce_expr
 
 
 class DescentError(RuntimeError):
@@ -200,8 +200,9 @@ def albert_decompose(e: BrauerExpr, K: InsepTower, cfg: SearchConfig = SearchCon
     in the radical slots; at most one symbol per radicand."""
     tower = K.tower
     f_level = K.over_level
-    e = BrauerExpr(tower, f_level, [Symbol(tw.rebind(s.a, tower), tw.rebind(s.b, tower))
-                                    for s in e.entries])
+    if e.level != f_level:
+        raise LevelMismatch("the class must live at the level below the tower")
+    e = e.rebind(tower)
     labels: List[CheckLabel] = []
     if check_split:
         lifted = e.lift_to(K.top_level)
@@ -354,9 +355,9 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     top = K.top_level
     p = tower.p
     n = K.degree_log
-    A = BrauerExpr(tower, f_level,
-                   [Symbol(tw.rebind(s.a, tower), tw.rebind(s.b, tower))
-                    for s in A.entries])
+    if A.level != f_level:
+        raise LevelMismatch("the class must live at the level below the tower")
+    A = A.rebind(tower)
     cyclic = Symbol(tw.rebind(cyclic_data.a, tower), tw.rebind(cyclic_data.b, tower))
     if cyclic.level != top:
         raise ValueError("cyclic data must live at the top of the tower")
@@ -424,10 +425,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     if b_expr.length() + bp_expr.length() > n + p - 1:
         raise AssertionError("decomposition exceeded the n + p - 1 bound")
     result = b_expr.tensor(bp_expr)
-    start = BrauerExpr(M.tower, f_level,
-                       [Symbol(tw.rebind(s.a, M.tower), tw.rebind(s.b, M.tower))
-                        for s in A.entries])
-    cert = certify_equivalence(start, result, cfg)
+    cert = certify_equivalence(A.rebind(M.tower), result, cfg)
     case = "norm-witness-quadratic" if p == 2 else "norm-witness-extension"
     return ReduceOutcome(b_expr, bp_expr, cert, case, labels + dec.labels, z_prime)
 

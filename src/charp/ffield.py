@@ -17,10 +17,17 @@ reached by absorbing a constant Artin-Schreier step over GF(2^8) into the
 constant field, build no tables and reduce each product modulo the
 modulus: their tables would cost about q reductions and q entries up
 front, 0.4-0.6 s and 13-17 MB at q = 2^16 or 3^10.
+
+All polynomial arithmetic over GF(p) here (the modulus search by Rabin's
+test, the table build, the reduction in ``from_coeffs`` and the products
+above TABLE_LIMIT) is the dense kernel of :mod:`charp.poly`, driven by
+``_PrimeField``, GF(p) on plain ints.  The kernel is imported inside the
+functions that use it, since ``poly`` imports this module.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterator, Tuple
 
@@ -47,90 +54,49 @@ def _digits(code: int, p: int, d: int) -> list[int]:
     return out
 
 
-# -- dense univariate arithmetic over GF(p): the modulus search, the tables
-# and the fields above TABLE_LIMIT --
+# -- GF(p) on plain ints: the field object that drives the dense kernel of
+# poly.py for the modulus search, the tables, the fields above TABLE_LIMIT
+# and the F_p-linear solves of towers and rationalize --
 
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+class _PrimeField:
+    """GF(p) with plain ints in [0, p) as elements, with the operations
+    that the kernel's products, remainders and gcds and ``_solve_linear``
+    use."""
 
+    __slots__ = ("p",)
+    zero, one = 0, 1
+    is_zero = staticmethod(operator.not_)
 
-def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _fp_mod(prod, m, p)
+    def __init__(self, p: int):
+        self.p = p
 
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        a = _fp_trim(a)
-        if len(a) - 1 < dm:
-            break
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for j, mj in enumerate(m):
-            a[shift + j] = (a[shift + j] - c * mj) % p
-        a = _fp_trim(a)
-    return _fp_trim(a)
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
+        return pow(a, self.p - 2, self.p)
 
 
-def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test: x^(p^d) = x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for
+    every prime l | d."""
+    from .poly import _upoly_gcd, _upoly_powmod, _upoly_sub
+    fp, x, d = _PrimeField(p), [0, 1], len(f) - 1
 
+    def frob_minus_x(k):  # x^(p^k) - x mod f
+        return _upoly_sub(fp, _upoly_powmod(fp, x, p ** k, f), x)
 
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and r:
-            r = _fp_trim(r)
-            if len(r) < len(b):
-                break
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - len(b)
-            for j, bj in enumerate(b):
-                r[shift + j] = (r[shift + j] - c * bj) % p
-            r = _fp_trim(r)
-        a, b = b, r
-    return a
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _fp_trim(out)
-
-
-def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    # x^(p^d) == x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for every prime l | d
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    if _fp_sub(_fp_powmod(x, p ** d, f, p), x, p):
-        return False
-    for ell in range(2, d + 1):
-        if d % ell == 0 and _is_prime(ell):
-            diff = _fp_sub(_fp_powmod(x, p ** (d // ell), f, p), x, p)
-            g = _fp_gcd(f, diff, p) if diff else list(f)
-            if len(g) - 1 > 0:
-                return False
-    return True
+    return not frob_minus_x(d) and all(
+        len(_upoly_gcd(fp, f, frob_minus_x(d // ell))) == 1
+        for ell in range(2, d + 1) if d % ell == 0 and _is_prime(ell))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +110,7 @@ def canonical_modulus(p: int, d: int) -> Tuple[int, ...]:
         return (0, 1)
     for code in range(p ** d):
         f = _digits(code, p, d) + [1]
-        if _fp_is_irreducible(f, p):
+        if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible of degree %d over GF(%d)" % (d, p))
 
@@ -162,18 +128,20 @@ def _exp_log_tables(p: int, d: int):
     counting order: exp[i] = h^i for 0 <= i < 2(q-1), so a sum of two logs
     needs no reduction, and log maps each nonzero element to its exponent
     and zero to None (a tuple that is no element raises KeyError)."""
+    from .poly import _upoly_divmod, _upoly_mul, _upoly_powmod, _upoly_trim
+    fp = _PrimeField(p)
     n = p ** d - 1
-    modulus = list(canonical_modulus(p, d))
+    modulus = canonical_modulus(p, d)
     primes = [ell for ell in range(2, n + 1) if n % ell == 0 and _is_prime(ell)]
     for code in range(2, n + 1):
-        h = _fp_trim(_digits(code, p, d))
-        if all(_fp_powmod(h, n // ell, modulus, p) != [1] for ell in primes):
+        h = _upoly_trim(fp, _digits(code, p, d))
+        if all(_upoly_powmod(fp, h, n // ell, modulus) != [1] for ell in primes):
             break
     exp = []
     cur = [1]
     for _ in range(n):
         exp.append(tuple(cur) + (0,) * (d - len(cur)))
-        cur = _fp_mulmod(cur, h, modulus, p)
+        cur = _upoly_divmod(fp, _upoly_mul(fp, cur, h), modulus)[1]
     log = {a: i for i, a in enumerate(exp)}
     log[(0,) * d] = None
     return exp + exp, log
@@ -198,6 +166,7 @@ class FiniteField:
         self.zero: FFElem = (0,) * d
         self.one: FFElem = (1,) + (0,) * (d - 1)
         self.gen: FFElem = ((0, 1) + (0,) * (d - 2)) if d >= 2 else (1,)
+        self._fp = _PrimeField(p)
         self._exp = self._log = None
 
     def __repr__(self) -> str:
@@ -217,7 +186,8 @@ class FiniteField:
     def from_coeffs(self, coeffs) -> FFElem:
         c = [x % self.p for x in coeffs]
         if len(c) > self.d:
-            c = _fp_mod(c, list(self.modulus), self.p)
+            from .poly import _upoly_divmod
+            c = _upoly_divmod(self._fp, c, self.modulus)[1]
         return tuple(c) + (0,) * (self.d - len(c))
 
     def elements(self) -> Iterator[FFElem]:
@@ -244,7 +214,8 @@ class FiniteField:
             return ((a[0] * b[0]) % self.p,)
         log = self._log or self._tables()
         if log is None:
-            prod = _fp_mulmod(list(a), list(b), list(self.modulus), self.p)
+            from .poly import _upoly_divmod, _upoly_mul
+            prod = _upoly_divmod(self._fp, _upoly_mul(self._fp, a, b), self.modulus)[1]
             return tuple(prod) + (0,) * (self.d - len(prod))
         la, lb = log[a], log[b]
         if la is None or lb is None:
@@ -279,14 +250,8 @@ class FiniteField:
             if la is None:
                 return self.zero if e else self.one
             return self._exp[la * e % (self.order - 1)]
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        from .poly import _generic_pow
+        return _generic_pow(a, e, self.one, self.mul)
 
     def is_zero(self, a: FFElem) -> bool:
         return not any(a)

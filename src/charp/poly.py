@@ -26,13 +26,18 @@ arithmetic beyond sums: every univariate product, division, gcd, inverse,
 power, valuation, resultant and evaluation (``_upoly_eval``, the one
 Horner rule) runs on it.  It works on coefficient lists, low degree
 first, over any field object with ``zero``, ``one``, ``is_zero``,
-``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  A
-:class:`FiniteField` drives it for GF(q)[t], through the ``Poly``
-functions below and the residue code of the invariant oracle; a tower
-``LevelOps`` drives it for polynomials over the level below (products,
-inverses, norms) and for evaluations at elements of its own level.
-``_solve_linear``, the only Gaussian elimination, runs over the same
-field objects.
+``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  Three kinds
+drive it.  A :class:`FiniteField` drives it for GF(q)[t], through the
+``Poly`` functions below and the residue code of the invariant oracle.
+The GF(p) object of ``ffield`` on plain ints drives it for GF(p)[x]: the
+search for each field's modulus, its exp/log tables and its products
+above the table limit.  A tower ``LevelOps`` drives it for polynomials
+over the level below (products, inverses, norms) and for evaluations at
+elements of its own level.  ``_solve_linear``, the only Gaussian
+elimination, runs over the same field objects; its F_p systems use the
+GF(p) int object.  ``_generic_pow`` is the one binary-power loop: the
+kernel's powers modulo a polynomial, field powers above the table limit,
+``Poly`` and tower powers all go through it.
 """
 
 from __future__ import annotations
@@ -382,15 +387,8 @@ def _upoly_inv_mod(ops, a: list, m: list) -> list:
 
 def _upoly_powmod(ops, a: list, e: int, m: list) -> list:
     """a^e modulo m, for e >= 0."""
-    result = [ops.one]
-    base = _upoly_divmod(ops, a, m)[1]
-    while e:
-        if e & 1:
-            result = _upoly_divmod(ops, _upoly_mul(ops, result, base), m)[1]
-        e >>= 1
-        if e:
-            base = _upoly_divmod(ops, _upoly_mul(ops, base, base), m)[1]
-    return result
+    return _generic_pow(_upoly_divmod(ops, a, m)[1], e, [ops.one],
+                        lambda x, y: _upoly_divmod(ops, _upoly_mul(ops, x, y), m)[1])
 
 
 def _upoly_valuation(ops, f: list, pi: list) -> Tuple[int, list]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, List, Optional
 
-from .ffield import FFElem, FiniteField
+from .ffield import FFElem, FiniteField, _PrimeField
 from .poly import Poly, PolyRing, RatFunc, _dense, _solve_linear, _upoly_eval
 from . import towers as tw
 
@@ -212,14 +212,13 @@ def _extend_const_as(rz: Rationalization, tower: tw.FieldTower,
     basis_tags = list(product(range(p), range(q_field.d)))
     basis_elems = [big.mul(big.pow(iota, j), big.pow(embed_gen, k)) for j, k in basis_tags]
     # over GF(p), row i is the coefficient of the i-th power of big.gen
-    matrix = [[(val[i],) for val in basis_elems] for i in range(big.d)]
-    sol = _solve_linear(FiniteField(p), matrix, [(digit,) for digit in big.gen])
-    if sol is None:
+    matrix = [[val[i] for val in basis_elems] for i in range(big.d)]
+    digits = _solve_linear(_PrimeField(p), matrix, big.gen)
+    if digits is None:
         raise AssertionError("constant field basis decomposition failed")
     # its coordinate at i^j is the constant of GF(Q) whose digits are the
     # solution entries tagged (j, 0), ..., (j, d - 1)
     d = q_field.d
-    digits = [coeff for (coeff,) in sol]
     genq_new = tw.Elem(tower, lvl, tuple(rz._bwd_const(digits[j * d:(j + 1) * d])
                                          for j in range(p)))
     return Rationalization(

@@ -106,6 +106,13 @@ class BrauerExpr:
     def lift_to(self, level: int) -> "BrauerExpr":
         return BrauerExpr(self.tower, level, [s.lift_to(level) for s in self.entries])
 
+    def rebind(self, tower: FieldTower) -> "BrauerExpr":
+        """The same expression over another tower with the same steps up to
+        its level (see ``towers.rebind``)."""
+        return BrauerExpr(tower, self.level,
+                          [Symbol(tw.rebind(s.a, tower), tw.rebind(s.b, tower))
+                           for s in self.entries])
+
     def sorted(self) -> "BrauerExpr":
         return BrauerExpr(self.tower, self.level,
                           sorted(self.entries, key=Symbol.sort_key))

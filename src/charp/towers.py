@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product as _iproduct
 from typing import List, Optional, Sequence, Tuple
 
-from .ffield import FiniteField
+from .ffield import FiniteField, _PrimeField
 from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _powmod_poly,
                    factor_univariate, poly_divmod_1var, poly_exact_div, poly_gcd, poly_inv_mod,
                    _solve_linear, _upoly_divmod, _upoly_eval, _upoly_inv_mod,
@@ -800,15 +800,15 @@ def _as_preimage_multivariate(tower: FieldTower, x: RatFunc) -> Optional[Elem]:
 
     def fp_coords(f: Poly) -> dict:
         # f over GF(p^d) as a vector over GF(p), keyed by (monomial, digit)
-        return {(mon, b): (digit,) for mon, c in f.terms.items()
+        return {(mon, b): digit for mon, c in f.terms.items()
                 for b, digit in enumerate(c) if digit}
 
-    sol = _solve_columns(FiniteField(p), [fp_coords(u ** p - u * w_pm1) for u in basis],
+    sol = _solve_columns(_PrimeField(p), [fp_coords(u ** p - u * w_pm1) for u in basis],
                          fp_coords(x.num))
     if sol is None:
         return None
     num = ring.zero()
-    for (coeff,), u in zip(sol, basis):
+    for coeff, u in zip(sol, basis):
         if coeff:
             num = num + u.scale(field.from_int(coeff))
     return Elem(tower, 0, RatFunc(num, w))

@@ -1,4 +1,5 @@
-"""Every function and method defined in ``src/charp`` has a caller.
+"""Every class, function and method defined in ``src/charp`` has a caller,
+and every private one has a caller in the package itself.
 
 A name counts as used when it appears in ``src/charp``, ``tests`` or
 ``perfbench`` more often than it is defined in ``src/charp``: as a call, an
@@ -6,6 +7,11 @@ import, a reference, or inside a string (the benchmark's tracer resolves
 names from strings).  Comments do not count.  Matching is by name, so
 same-named definitions share their uses.  Dunder methods are exempt: the
 language calls them.
+
+A private name (one leading underscore) is no API: when only tests or the
+benchmark name it, it is dead code that the package keeps for them.  Such a
+name fails unless ``TEST_ONLY_PRIVATE`` lists it with the reason.  Public
+names may be reached from outside alone: they are the library's API.
 """
 
 from __future__ import annotations
@@ -22,26 +28,32 @@ PACKAGE = ROOT / "src" / "charp"
 SEARCHED = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# private name -> why the package keeps it although only tests or the
+# benchmark name it
+TEST_ONLY_PRIVATE: dict = {}
+
 
 def _definitions():
-    """(module, qualified name, bare name, line number) for every def."""
+    """(module, qualified name, bare name, line number) for every class and
+    def."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         stack = [(node, "") for node in tree.body]
         while stack:
             node, prefix = stack.pop()
             if isinstance(node, ast.ClassDef):
+                yield path, prefix + node.name, node.name, node.lineno
                 stack.extend((child, prefix + node.name + ".") for child in node.body)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield path, prefix + node.name, node.name, node.lineno
                 stack.extend((child, prefix + node.name + ".") for child in node.body)
 
 
-def _word_counts():
+def _word_counts(roots=SEARCHED):
     """Occurrences of each identifier-like word in the code and strings of
-    the searched trees."""
+    the given trees."""
     counts: Counter = Counter()
-    for root in SEARCHED:
+    for root in roots:
         for path in sorted(root.rglob("*.py")):
             tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
             for tok in tokens:
@@ -59,3 +71,16 @@ def test_every_definition_is_named_elsewhere():
               if not (name.startswith("__") and name.endswith("__"))
               and counts[name] == defined[name]]
     assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)
+
+
+def test_private_definitions_are_named_in_the_package():
+    definitions = list(_definitions())
+    defined = Counter(name for _, _, name, _ in definitions)
+    counts = _word_counts((PACKAGE,))
+    outside_only = ["%s:%d %s" % (path.relative_to(ROOT), lineno, qualname)
+                    for path, qualname, name, lineno in definitions
+                    if name.startswith("_") and not name.startswith("__")
+                    and counts[name] == defined[name] and name not in TEST_ONLY_PRIVATE]
+    assert not outside_only, ("private, but named only outside src/charp:\n"
+                              + "\n".join(outside_only))
+    assert set(TEST_ONLY_PRIVATE) <= set(defined), "allowlisted names that are gone"

@@ -1,11 +1,14 @@
+import sys
+
 import pytest
 
-from charp import towers as tw
+from charp import certify, towers as tw
 from charp.bounds import Scenario
 from charp.certify import verify_certificate
 from charp.descent import InsepTower, SearchConfig
 from charp.drivers import (DriverError, IndexReduction, decompose,
                            index_reduction_step)
+from charp.experiment import ExperimentConfig, run_experiment
 from charp.oracle import expr_invariants
 from charp.textform import format_expr, parse_expr, parse_tower
 
@@ -140,3 +143,40 @@ def test_albert_driver_multivariate_degree_p_squared():
     assert res.achieved <= res.report.value == 2
     assert verify_certificate(res.certificate).accepted
     assert all(l.method == "witness" for l in res.labels)
+
+
+def _count_replays(monkeypatch) -> list:
+    """Route every ``verify_certificate`` the package holds through a
+    counter; returns the list of replayed certificates."""
+    replayed = []
+    original = certify.verify_certificate
+
+    def counting(cert):
+        replayed.append(cert)
+        return original(cert)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "verify_certificate", None)
+        if name.split(".")[0] == "charp" and held is original:
+            monkeypatch.setattr(module, "verify_certificate", counting)
+    return replayed
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("split_by_insep", {}),
+    ("cyclic_after_insep", {"cyclic": "[1, r^2)_2"}),
+])
+def test_decompose_replays_its_certificate_once(monkeypatch, kind, extra):
+    replayed = _count_replays(monkeypatch)
+    res = decompose(Scenario(2, kind, n=1, attached=dict(
+        {"tower": "GF(2)(t) ; ROOT r: r^2 = t", "expr": "[1, t)_2"}, **extra)))
+    assert len(replayed) == 1 and replayed[0] is res.certificate
+
+
+@pytest.mark.parametrize("family", ["insep_cyclic", "cyclic_degree"])
+def test_insep_trial_replays_its_certificate_once(monkeypatch, family):
+    replayed = _count_replays(monkeypatch)
+    report = run_experiment(ExperimentConfig(family=family, trials=3, seed=5,
+                                             degree_cap=2, norm_bound=3))
+    assert report.summary()["failed"] == 0
+    assert len(replayed) == 3 and all(row.certified for row in report.rows)

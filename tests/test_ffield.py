@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp.ffield import (TABLE_LIMIT, FiniteField, _fp_mulmod, _fp_powmod,
-                          canonical_modulus)
+from charp.ffield import TABLE_LIMIT, FiniteField, canonical_modulus
 
 
 def test_canonical_moduli_are_deterministic():
@@ -76,8 +75,32 @@ def test_f9_commutativity(i, j):
     assert F.add(a, b) == F.add(b, a)
 
 
-def _reference(F, coeffs):
-    return tuple(coeffs) + (0,) * (F.d - len(coeffs))
+def _mod(a, m, p):
+    """a mod the monic m over GF(p), on int lists, by schoolbook long division."""
+    a = [x % p for x in a]
+    for k in range(len(a) - len(m), -1, -1):
+        c = a[k + len(m) - 1]
+        for j, mj in enumerate(m):
+            a[k + j] = (a[k + j] - c * mj) % p
+    return a[:len(m) - 1] if len(a) >= len(m) else a
+
+
+def _reference_mul(F, a, b):
+    """The product of two elements of F: schoolbook product reduced by the
+    modulus, on ints, padded to d digits."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    r = _mod(prod, F.modulus, F.p)
+    return tuple(r) + (0,) * (F.d - len(r))
+
+
+def _reference_pow(F, a, e):
+    out = F.one
+    for _ in range(e):
+        out = _reference_mul(F, out, a)
+    return out
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
@@ -85,16 +108,15 @@ def test_tables_match_modulus_reduction(p, d):
     # In GF(9) and GF(49) the generator g has order 4, so tables built from
     # powers of g would miss most of the field.
     F = FiniteField(p, d)
-    mod = list(F.modulus)
     elems = list(F.elements())
     for a in elems:
         for b in elems:
-            assert F.mul(a, b) == _reference(F, _fp_mulmod(list(a), list(b), mod, p))
+            assert F.mul(a, b) == _reference_mul(F, a, b)
         if F.is_zero(a):
             with pytest.raises(ZeroDivisionError):
                 F.inv(a)
         else:
-            assert F.inv(a) == _reference(F, _fp_powmod(list(a), F.order - 2, mod, p))
+            assert _reference_mul(F, a, F.inv(a)) == F.one
             assert F.div(F.one, a) == F.inv(a)
             assert F.pow(a, -1) == F.inv(a)
     with pytest.raises(KeyError):
@@ -105,11 +127,39 @@ def test_tables_match_modulus_reduction(p, d):
 def test_large_field_multiplies_without_tables(p, d):
     F = FiniteField(p, d)
     assert F.order > TABLE_LIMIT
-    mod = list(F.modulus)
     a = F.pow(F.gen, 16)
+    assert a == _reference_pow(F, F.gen, 16)
     b = F.from_coeffs([1, 0, 1, 1])
     for x, y in [(a, a), (a, b), (b, F.gen), (F.zero, a)]:
-        assert F.mul(x, y) == _reference(F, _fp_mulmod(list(x), list(y), mod, p))
+        assert F.mul(x, y) == _reference_mul(F, x, y)
     assert F.mul(b, F.inv(b)) == F.one
     assert F.pth_root(F.frob(b)) == b
     assert F._tables() is None
+
+
+def test_from_coeffs_reduces_long_lists_above_table_limit():
+    F = FiniteField(2, 13)
+    assert F.order > TABLE_LIMIT
+    coeffs = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 3]
+    assert F.from_coeffs(coeffs) == tuple(_mod(coeffs, F.modulus, 2))
+
+
+def _has_small_factor(f, p):
+    """Whether the monic f over GF(p) has a monic factor of degree 1 ..
+    deg(f) // 2, by trial division with every such polynomial."""
+    d = len(f) - 1
+    for k in range(1, d // 2 + 1):
+        for code in range(p ** k):
+            g = [(code // p ** i) % p for i in range(k)] + [1]
+            if not any(_mod(f, g, p)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5) for d in range(1, 9) if p ** d <= 256])
+def test_canonical_modulus_is_first_irreducible_by_trial_division(p, d):
+    for code in range(p ** d):
+        f = [(code // p ** i) % p for i in range(d)] + [1]
+        if not _has_small_factor(f, p):
+            break
+    assert canonical_modulus(p, d) == tuple(f)
