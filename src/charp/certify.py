@@ -19,7 +19,8 @@ witness data that makes it independently re-checkable by field arithmetic:
 Verification replays every step from its serialized form; acceptance means
 each step checks and consecutive steps chain exactly.  Malformed input
 (parse failures, level mismatches, bad indices, fields of the wrong JSON
-type) is reported distinctly from mathematical rejection.
+type, arithmetic that fails over a tower whose step is reducible) is
+reported distinctly from mathematical rejection.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
         return VerifyOutcome(False, None, "bad tower: not a tower text", malformed=True)
     try:
         tower = parse_tower(cert.tower_text)
-    except (ParseError, tw.StepError) as err:
+    except (ParseError, tw.StepError, ArithmeticError) as err:
         return VerifyOutcome(False, None, "bad tower: %s" % err, malformed=True)
     if tower.p != cert.p:
         return VerifyOutcome(False, None, "prime does not match the tower", malformed=True)
@@ -159,7 +160,8 @@ def verify_certificate(cert: Certificate) -> VerifyOutcome:
             return VerifyOutcome(False, idx, str(err), malformed=True)
         except _Rejected as err:
             return VerifyOutcome(False, idx, str(err))
-        except (ParseError, tw.StepError, ValueError) as err:
+        except (ParseError, tw.StepError, ValueError, ArithmeticError) as err:
+            # ArithmeticError: a division by a zero divisor over a reducible step
             return VerifyOutcome(False, idx, "malformed step: %s" % err, malformed=True)
     return VerifyOutcome(True)
 

@@ -179,7 +179,7 @@ def certify_equivalence(start: BrauerExpr, result: BrauerExpr,
 @dataclass
 class DecompositionResult:
     expr: BrauerExpr
-    certificate: Certificate
+    certificate: Optional[Certificate]   # None only before certification
     reported_length: int
     slots: List[Optional[int]] = field(default_factory=list)
     labels: List[CheckLabel] = field(default_factory=list)
@@ -198,6 +198,15 @@ def albert_decompose(e: BrauerExpr, K: InsepTower, cfg: SearchConfig = SearchCon
                      check_split: bool = True) -> DecompositionResult:
     """Decompose a class split by K into symbols with the tower's radicands
     in the radical slots; at most one symbol per radicand."""
+    e, dec = _albert_uncertified(e, K, cfg, check_split)
+    dec.certificate = certify_equivalence(e, dec.expr, cfg)
+    return dec
+
+
+def _albert_uncertified(e: BrauerExpr, K: InsepTower, cfg: SearchConfig,
+                        check_split: bool) -> Tuple[BrauerExpr, DecompositionResult]:
+    """``albert_decompose`` with no certificate yet (None), and e over K's
+    tower: for callers that certify a larger answer themselves."""
     tower = K.tower
     f_level = K.over_level
     if e.level != f_level:
@@ -234,8 +243,7 @@ def albert_decompose(e: BrauerExpr, K: InsepTower, cfg: SearchConfig = SearchCon
                                  "witness"))
     if result.length() > K.degree_log:
         raise AssertionError("decomposition length exceeded the radicand count")
-    cert = certify_equivalence(e, result, cfg)
-    return DecompositionResult(result, cert, result.length(), slots, labels)
+    return e, DecompositionResult(result, None, result.length(), slots, labels)
 
 
 def _match_slots(result: BrauerExpr, K: InsepTower) -> List[Optional[int]]:
@@ -391,7 +399,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     if in_f:
         b_prime = Symbol(tw.rebind(x_p, tower), tw.rebind(z_f, tower))
         bp_expr = BrauerExpr(tower, f_level, [b_prime])
-        dec = albert_decompose(A.tensor(bp_expr.op()), K, cfg, check_split=True)
+        dec = _albert_uncertified(A.tensor(bp_expr.op()), K, cfg, check_split=True)[1]
         result = dec.expr.tensor(bp_expr)
         if result.length() > n + p - 1:
             raise AssertionError("decomposition exceeded the n + p - 1 bound")
@@ -411,7 +419,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
             continue
         if M.try_add(tw.Elem(tower, f_level, c.rep)):
             added.append(len(M.gens) - 1)
-    dec = albert_decompose(A, M, cfg, check_split=True)
+    dec = _albert_uncertified(A, M, cfg, check_split=True)[1]
     b_entries, bp_entries = [], []
     for s, slot in zip(dec.expr.entries, dec.slots):
         if slot is not None and slot in added:

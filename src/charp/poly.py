@@ -1,8 +1,13 @@
 """Polynomials, reduced rational functions and the dense univariate kernel.
 
-Polynomials are finitely supported maps monomial -> nonzero coefficient,
-where a monomial is a tuple of exponents matching the ring's variable list.
-Printing, leading terms and tie-breaks all use graded lexicographic order.
+A polynomial over several variables is a finitely supported map monomial
+(a tuple of exponents matching the ring's variable list) -> nonzero
+coefficient tuple of :mod:`charp.ffield`.  A polynomial over one variable
+keeps its coefficients as a trimmed list of int codes, low degree first
+(see ``ffield``), and hands it to the kernel with no conversion; its
+``terms`` is a read view in the tuple form, decoded on first use, and
+``leading_coeff`` and ``constant_value`` return tuples too.  Printing,
+leading terms and tie-breaks use graded lexicographic order.
 
 Rational functions are kept in reduced normal form: numerator and
 denominator coprime, denominator's leading coefficient equal to one.  The
@@ -16,28 +21,26 @@ monomial of least exponents, read off without arithmetic.  Operands with
 no variable in common have gcd 1.  Operands with exactly one variable in
 common, every other univariate pair among them, have a gcd in that
 variable alone: the gcd of all their coefficients in the other variables,
-taken on the dense kernel.  Everything else goes by content /
+encoded and taken on the dense kernel.  Everything else goes by content /
 primitive-part recursion over primitive pseudo-remainder sequences, which
 is all the reduction this package ever needs (no general multivariate
 factorization).
 
 The dense kernel, the ``_upoly_*`` functions, is the only univariate
-arithmetic beyond sums: every univariate product, division, gcd, inverse,
-power, valuation, resultant and evaluation (``_upoly_eval``, the one
-Horner rule) runs on it.  It works on coefficient lists, low degree
-first, over any field object with ``zero``, ``one``, ``is_zero``,
-``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow``.  Three kinds
-drive it.  A :class:`FiniteField` drives it for GF(q)[t], through the
-``Poly`` functions below and the residue code of the invariant oracle.
-The GF(p) object of ``ffield`` on plain ints drives it for GF(p)[x]: the
-search for each field's modulus, its exp/log tables and its products
-above the table limit.  A tower ``LevelOps`` drives it for polynomials
-over the level below (products, inverses, norms) and for evaluations at
-elements of its own level.  ``_solve_linear``, the only Gaussian
-elimination, runs over the same field objects; its F_p systems use the
-GF(p) int object.  ``_generic_pow`` is the one binary-power loop: the
-kernel's powers modulo a polynomial, field powers above the table limit,
-``Poly`` and tower powers all go through it.
+arithmetic: every univariate sum, product, division, gcd, inverse, power,
+valuation, resultant and evaluation (``_upoly_eval``, the one Horner rule)
+runs on it.  It works on coefficient lists, low degree first, over any
+field object with ``zero``, ``one``, ``is_zero``, ``add``, ``sub``,
+``neg``, ``mul``, ``inv`` and ``pow``.  The int field objects of
+``ffield`` drive it for GF(q)[t] (the ``Poly`` functions below and the
+residue code of the invariant oracle) and, over GF(p), for each field's
+modulus search, tables and products above the table limit.  A tower
+``LevelOps`` drives it for polynomials over the level below (products,
+inverses, norms) and for evaluations at elements of its own level.
+``_solve_linear``, the only Gaussian elimination, runs over the same field
+objects.  ``_generic_pow`` is the one binary-power loop: the kernel's
+powers modulo a polynomial, field powers above the table limit, ``Poly``
+and tower powers all go through it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import operator
 import random
 from typing import Dict, Iterable, Tuple
 
-from .ffield import FFElem, FiniteField
+from .ffield import FFElem, FiniteField, _code
 
 Monomial = Tuple[int, ...]
 
@@ -78,8 +81,8 @@ class PolyRing:
         self.memo: dict = {}
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyRing) and self.field == other.field
-                and self.variables == other.variables)
+        return self is other or (isinstance(other, PolyRing) and self.field == other.field
+                                 and self.variables == other.variables)
 
     def __hash__(self) -> int:
         return hash((self.field, self.variables))
@@ -88,14 +91,12 @@ class PolyRing:
         return "PolyRing(GF(%d^%d), %s)" % (self.field.p, self.field.d, list(self.variables))
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _upoly(self, []) if self.nvars == 1 else Poly._trusted(self, {})
 
     def one(self) -> "Poly":
-        return self.constant(self.field.one)
+        return _upoly(self, [1]) if self.nvars == 1 else self.constant(self.field.one)
 
     def constant(self, c: FFElem) -> "Poly":
-        if self.field.is_zero(c):
-            return Poly(self, {})
         return Poly(self, {self._zero_mon: c})
 
     def from_int(self, n: int) -> "Poly":
@@ -112,32 +113,61 @@ def _grlex_key(mon: Monomial):
 
 
 class Poly:
-    """Immutable multivariate polynomial; do not mutate ``terms`` after creation."""
+    """Immutable polynomial; mutate neither ``terms`` nor ``coeffs``.
 
-    __slots__ = ("ring", "terms", "_hash")
+    Over several variables ``terms`` is the map monomial -> nonzero
+    coefficient tuple and ``coeffs`` is None.  Over one variable ``coeffs``
+    is the trimmed list of coefficient codes, low degree first, that the
+    kernel works on, and ``terms`` is a read view decoded from it on first
+    use."""
+
+    __slots__ = ("ring", "terms", "coeffs", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Dict[Monomial, FFElem]):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if not ring.field.is_zero(c)}
         self._hash = None
+        if ring.nvars == 1:
+            encode = ring.field.ints.encode
+            coeffs = [0] * (max((e for (e,) in terms), default=-1) + 1)
+            for (e,), c in terms.items():
+                coeffs[e] = encode(c)
+            self.coeffs = _upoly_trim(ring.field.ints, coeffs)
+        else:
+            self.coeffs = None
+            self.terms = {m: c for m, c in terms.items() if not ring.field.is_zero(c)}
 
     @classmethod
     def _trusted(cls, ring: PolyRing, terms: Dict[Monomial, FFElem]) -> "Poly":
         """Wrap ``terms`` without the zero filter: for callers whose dict
         cannot hold a zero coefficient, and which hand it over unshared."""
+        if ring.nvars == 1:
+            return cls(ring, terms)
         f = cls.__new__(cls)
         f.ring = ring
         f.terms = terms
+        f.coeffs = None
         f._hash = None
         return f
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the terms of a univariate polynomial
+        if name != "terms" or self.coeffs is None:
+            raise AttributeError(name)
+        decode = self.ring.field.ints.decode
+        self.terms = {(e,): decode(c) for e, c in enumerate(self.coeffs) if c}
+        return self.terms
 
     # -- queries --
 
     def is_zero(self) -> bool:
-        return not self.terms
+        c = self.coeffs
+        return not (self.terms if c is None else c)
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        c = self.coeffs
+        if c is None:
+            return all(sum(m) == 0 for m in self.terms)
+        return len(c) <= 1
 
     def constant_value(self) -> FFElem:
         if self.is_zero():
@@ -147,9 +177,13 @@ class Poly:
         return self.terms[self.ring._zero_mon]
 
     def total_degree(self) -> int:
+        if self.coeffs is not None:
+            return len(self.coeffs) - 1
         return max((sum(m) for m in self.terms), default=-1)
 
     def degree_in(self, var_index: int) -> int:
+        if self.coeffs is not None:
+            return len(self.coeffs) - 1
         return max((m[var_index] for m in self.terms), default=-1)
 
     def leading_monomial(self) -> Monomial:
@@ -166,6 +200,8 @@ class Poly:
     # -- ring operations --
 
     def __add__(self, other: "Poly") -> "Poly":
+        if self.coeffs is not None:
+            return _upoly(self.ring, _upoly_add(self.ring.field.ints, self.coeffs, other.coeffs))
         field = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -177,15 +213,20 @@ class Poly:
         return Poly._trusted(self.ring, out)
 
     def __neg__(self) -> "Poly":
+        if self.coeffs is not None:
+            neg = self.ring.field.ints.neg
+            return _upoly(self.ring, [neg(c) for c in self.coeffs])
         field = self.ring.field
         return Poly._trusted(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if self.coeffs is not None:
+            return _upoly(self.ring, _upoly_sub(self.ring.field.ints, self.coeffs, other.coeffs))
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.ring.nvars == 1:
-            return _sparse(self.ring, _upoly_mul(self.ring.field, _dense(self), _dense(other)))
+        if self.coeffs is not None:
+            return _upoly(self.ring, _upoly_mul(self.ring.field.ints, self.coeffs, other.coeffs))
         field = self.ring.field
         out: Dict[Monomial, FFElem] = {}
         for m1, c1 in self.terms.items():
@@ -211,11 +252,18 @@ class Poly:
         return _generic_pow(self, e, self.ring.one(), operator.mul)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        if not isinstance(other, Poly):
+            return False
+        c = self.coeffs
+        if c is None:
+            return self.ring == other.ring and self.terms == other.terms
+        return c == other.coeffs and self.ring == other.ring
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            c = self.coeffs
+            self._hash = (hash((self.ring, frozenset(self.terms.items()))) if c is None
+                          else hash(tuple(c)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -226,6 +274,10 @@ class Poly:
 
     def derivative(self, var_index: int) -> "Poly":
         field = self.ring.field
+        if self.coeffs is not None:
+            ops, p = field.ints, field.p
+            return _upoly(self.ring, _upoly_trim(ops, [ops.mul(e % p, c) for e, c in
+                                                        enumerate(self.coeffs[1:], 1)]))
         out: Dict[Monomial, FFElem] = {}
         for m, c in self.terms.items():
             e = m[var_index]
@@ -262,6 +314,24 @@ class Poly:
                 return None
             out[tuple(e // p for e in m)] = self.ring.field.pth_root(c)
         return Poly._trusted(self.ring, out)
+
+
+def _upoly(ring: PolyRing, coeffs: list) -> Poly:
+    """The univariate polynomial with this trimmed code list, taken over
+    unshared."""
+    f = Poly.__new__(Poly)
+    f.ring = ring
+    f.coeffs = coeffs
+    f._hash = None
+    return f
+
+
+def _upoly_scale(f: Poly, c: int) -> Poly:
+    """c * f for a univariate f and a code c."""
+    if not c:
+        return f.ring.zero()
+    mul = f.ring.field.ints.mul
+    return _upoly(f.ring, [mul(c, x) for x in f.coeffs])
 
 
 def _generic_pow(x, e, one, mul):
@@ -311,27 +381,35 @@ def _upoly_mul(ops, a: list, b: list) -> list:
     return _upoly_trim(ops, out)
 
 
-def _upoly_sub(ops, a: list, b: list) -> list:
-    zero = ops.zero
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(ops.sub(x, y))
+def _upoly_add(ops, a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    add = ops.add
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = add(out[i], y)
     return _upoly_trim(ops, out)
+
+
+def _upoly_sub(ops, a: list, b: list) -> list:
+    neg = ops.neg
+    return _upoly_add(ops, a, [neg(y) for y in b])
 
 
 def _upoly_divmod(ops, a: list, b: list) -> Tuple[list, list]:
     """(q, r) with a = q*b + r and deg r < deg b."""
-    b = _upoly_trim(ops, list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = _upoly_trim(ops, list(a))
+    is_zero = ops.is_zero
+    if not b or is_zero(b[-1]):
+        b = _upoly_trim(ops, list(b))
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    if r and is_zero(r[-1]):
+        _upoly_trim(ops, r)
     db = len(b) - 1
     if len(r) <= db:
         return [], r
-    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    mul, sub = ops.mul, ops.sub
     inv_lead = None if b[-1] == ops.one else ops.inv(b[-1])
     tail = [(j, c) for j, c in enumerate(b[:db]) if not is_zero(c)]
     q = [ops.zero] * (len(r) - db)
@@ -344,7 +422,8 @@ def _upoly_divmod(ops, a: list, b: list) -> Tuple[list, list]:
         q[k] = c
         for j, bj in tail:
             r[k + j] = sub(r[k + j], mul(c, bj))
-    return q, _upoly_trim(ops, r[:db])
+    del r[db:]
+    return q, _upoly_trim(ops, r)
 
 
 def _upoly_gcd(ops, a: list, b: list) -> list:
@@ -470,37 +549,23 @@ def _solve_linear(ops, matrix: list, rhs: list):
 # univariate Poly operations on the kernel
 # ---------------------------------------------------------------------------
 
-def _dense(f: Poly) -> list:
-    """Coefficients of a univariate polynomial, low degree first."""
-    if not f.terms:
-        return []
-    out = [f.ring.field.zero] * (max(f.terms)[0] + 1)
-    for (e,), c in f.terms.items():
-        out[e] = c
-    return out
-
-
-def _sparse(ring: PolyRing, coeffs: list) -> Poly:
-    return Poly(ring, {(e,): c for e, c in enumerate(coeffs)})
-
-
 def poly_divmod_1var(f: Poly, g: Poly) -> Tuple[Poly, Poly]:
     """Euclidean division in one variable (ring must be univariate)."""
     ring = f.ring
     if ring.nvars != 1:
         raise ValueError("univariate division on a multivariate ring")
-    q, r = _upoly_divmod(ring.field, _dense(f), _dense(g))
-    return _sparse(ring, q), _sparse(ring, r)
+    q, r = _upoly_divmod(ring.field.ints, f.coeffs, g.coeffs)
+    return _upoly(ring, q), _upoly(ring, r)
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
     """Exact division f / g; raises ArithmeticError if g does not divide f."""
     ring = f.ring
-    if ring.nvars == 1:
-        q, r = _upoly_divmod(ring.field, _dense(f), _dense(g))
+    if f.coeffs is not None:
+        q, r = _upoly_divmod(ring.field.ints, f.coeffs, g.coeffs)
         if r:
             raise ArithmeticError("inexact polynomial division")
-        return _sparse(ring, q)
+        return _upoly(ring, q)
     field = ring.field
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -530,13 +595,13 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
 def poly_inv_mod(a: Poly, m: Poly) -> Poly:
     """The inverse of a modulo m, of degree below m's; ZeroDivisionError
     (an ArithmeticError) when a is not a unit modulo m.  Univariate."""
-    return _sparse(a.ring, _upoly_inv_mod(a.ring.field, _dense(a), _dense(m)))
+    return _upoly(a.ring, _upoly_inv_mod(a.ring.field.ints, a.coeffs, m.coeffs))
 
 
 def poly_valuation(f: Poly, pi: Poly) -> Tuple[int, Poly]:
     """(v, u) with f = pi^v * u and pi not dividing u.  Univariate, f nonzero."""
-    v, u = _upoly_valuation(f.ring.field, _dense(f), _dense(pi))
-    return v, _sparse(f.ring, u)
+    v, u = _upoly_valuation(f.ring.field.ints, f.coeffs, pi.coeffs)
+    return v, _upoly(f.ring, u)
 
 
 def _coeff_map(f: Poly, var_index: int) -> Dict[int, Poly]:
@@ -583,28 +648,33 @@ def _gcd_in_var(a: Poly, b: Poly, var_index: int) -> Poly:
     """gcd of a and b when it can involve only the one variable: the gcd of
     all their coefficients in the other variables, each a univariate
     polynomial in that variable, on the dense kernel."""
-    ring, field = a.ring, a.ring.field
+    ring, ops = a.ring, a.ring.field.ints
+    encode = ops.encode
     g = None
     for f in (a, b):
-        coeffs: Dict[Monomial, Dict[int, FFElem]] = {}
+        coeffs: Dict[Monomial, Dict[int, int]] = {}
         for m, c in f.terms.items():
-            coeffs.setdefault(m[:var_index] + m[var_index + 1:], {})[m[var_index]] = c
+            coeffs.setdefault(m[:var_index] + m[var_index + 1:], {})[m[var_index]] = encode(c)
         for coeff in coeffs.values():
-            dense = [field.zero] * (max(coeff) + 1)
+            dense = [0] * (max(coeff) + 1)
             for e, c in coeff.items():
                 dense[e] = c
-            g = dense if g is None else _upoly_gcd(field, g, dense)
+            g = dense if g is None else _upoly_gcd(ops, g, dense)
             if len(g) == 1:
                 return ring.one()
-    unit = ring._zero_mon
-    return Poly(ring, {unit[:var_index] + (e,) + unit[var_index + 1:]: c
-                       for e, c in enumerate(g)})
+    unit, decode = ring._zero_mon, ops.decode
+    return Poly._trusted(ring, {unit[:var_index] + (e,) + unit[var_index + 1:]: decode(c)
+                                for e, c in enumerate(g) if c})
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic-normalized gcd; the short cuts listed in the module docstring
     come before the dense kernel and primitive remainder sequences."""
     ring = a.ring
+    if a.coeffs is not None:
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+            return ring.one()
+        return _upoly(ring, _upoly_gcd(ring.field.ints, a.coeffs, b.coeffs))
     if a.is_zero():
         return _normalize_lead(b)
     if b.is_zero():
@@ -634,9 +704,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _normalize_lead(f: Poly) -> Poly:
-    if f.is_zero():
-        return f
-    return f.scale(f.ring.field.inv(f.leading_coeff()))
+    return _monic_den(f.ring.zero(), f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +842,16 @@ def _cancel(f: Poly, g: Poly) -> Poly:
 
 
 def _monic_den(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
-    """num / den scaled so that den's leading coefficient is one."""
+    """num / den scaled so that den's leading coefficient is one (a zero
+    den is left as it is)."""
+    if den.coeffs is not None:
+        lc = den.coeffs[-1] if den.coeffs else 1
+        if lc == 1:
+            return num, den
+        inv = num.ring.field.ints.inv(lc)
+        return _upoly_scale(num, inv), _upoly_scale(den, inv)
+    if den.is_zero():
+        return num, den
     field = num.ring.field
     lc = den.leading_coeff()
     if lc == field.one:
@@ -801,17 +878,15 @@ def normalize(num: Poly, den: Poly) -> RatFunc:
 
 def _powmod_poly(base: Poly, e: int, mod: Poly) -> Poly:
     ring = base.ring
-    return _sparse(ring, _upoly_powmod(ring.field, _dense(base), e, _dense(mod)))
+    return _upoly(ring, _upoly_powmod(ring.field.ints, base.coeffs, e, mod.coeffs))
 
 
 def _random_poly(ring: PolyRing, max_deg: int, rng: random.Random) -> Poly:
-    field = ring.field
-    terms: Dict[Monomial, FFElem] = {}
-    for e in range(max_deg + 1):
-        c = tuple(rng.randrange(field.p) for _ in range(field.d))
-        if not field.is_zero(c):
-            terms[(e,)] = c
-    return Poly(ring, terms)
+    """Degree at most max_deg, the digits of each coefficient drawn low
+    first, constant term first."""
+    p, d = ring.field.p, ring.field.d
+    coeffs = [_code([rng.randrange(p) for _ in range(d)], p) for _ in range(max_deg + 1)]
+    return _upoly(ring, _upoly_trim(ring.field.ints, coeffs))
 
 
 def _equal_degree_split(f: Poly, r: int, rng: random.Random) -> list[Poly]:

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, List, Optional
 
 from .ffield import FFElem, FiniteField, _PrimeField
-from .poly import Poly, PolyRing, RatFunc, _dense, _solve_linear, _upoly_eval
+from .poly import Poly, PolyRing, RatFunc, _solve_linear, _upoly, _upoly_eval
 from . import towers as tw
 
 
@@ -90,8 +90,15 @@ def _relabel(rf: RatFunc, ring: PolyRing, n: int,
              embed: Callable[[FFElem], FFElem]) -> RatFunc:
     """A reduced univariate fraction under t -> w^n, constants through the
     field embedding ``embed``, in ``ring``: reduced already, so no gcd."""
+    encode = ring.field.ints.encode
+
     def image(f: Poly) -> Poly:
-        return Poly._trusted(ring, {(e * n,): embed(c) for (e,), c in f.terms.items()})
+        decode = f.ring.field.ints.decode
+        out = [0] * (n * len(f.coeffs) - n + 1) if f.coeffs else []
+        for e, c in enumerate(f.coeffs):
+            if c:
+                out[e * n] = encode(embed(decode(c)))
+        return _upoly(ring, out)
     return RatFunc(image(rf.num), image(rf.den), reduce=False)
 
 
@@ -101,8 +108,9 @@ def _evaluate(rf: RatFunc, point: tw.Elem, embed: Callable[[FFElem], object]) ->
     ops = tw._ops(point.tower, point.level)
 
     def value(f: Poly):
-        coeffs = [embed(c) if any(c) else ops.zero for c in _dense(f)]
-        return _upoly_eval(ops, coeffs, point.rep)
+        decode = f.ring.field.ints.decode
+        return _upoly_eval(ops, [embed(decode(c)) if c else ops.zero for c in f.coeffs],
+                           point.rep)
 
     return tw.Elem(point.tower, point.level, ops.div(value(rf.num), value(rf.den)))
 

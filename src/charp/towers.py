@@ -18,10 +18,10 @@ from itertools import product as _iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField, _PrimeField
-from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _powmod_poly,
-                   factor_univariate, poly_divmod_1var, poly_exact_div, poly_gcd, poly_inv_mod,
-                   _solve_linear, _upoly_divmod, _upoly_eval, _upoly_inv_mod,
-                   _upoly_mul, _upoly_resultant, _upoly_trim)
+from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _normalize_lead,
+                   _powmod_poly, factor_univariate, poly_divmod_1var, poly_exact_div,
+                   poly_gcd, poly_inv_mod, _solve_linear, _upoly_divmod, _upoly_eval,
+                   _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -1000,7 +1000,7 @@ def _square_reduced_den(N: Poly, n: Poly, abc: tuple, factors: dict, memo: dict)
     and C' for each set of primes."""
     if N.is_zero():
         return True
-    primes = factors[n.scale(n.ring.field.inv(n.leading_coeff()))]
+    primes = factors[_normalize_lead(n)]
     for pi in primes:
         try:
             va, vb, vc = memo[pi]
@@ -1128,7 +1128,6 @@ def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     divides zero, so the zero numerator pairs only with the constant
     denominator.
     """
-    field = ring.field
     nums = _polys_up_to(ring, h)
     dens = _polys_up_to(ring, h, monic=True)
     # FieldTower(...) is the interned base tower of the ring
@@ -1138,7 +1137,7 @@ def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     out = []
     for num in nums:
         top = num.total_degree() == h
-        num_factors = (factors[num.scale(field.inv(num.leading_coeff()))]
+        num_factors = (factors[_normalize_lead(num)]
                        if not num.is_zero() else everything)
         for den, d, den_factors in dens:
             if (top or d == h) and num_factors.isdisjoint(den_factors):

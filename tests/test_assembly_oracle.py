@@ -18,10 +18,16 @@ from substitution import substitute
 from test_rationalize import CASES, _rand_at
 from charp import towers as tw
 from charp.ffield import FiniteField
-from charp.poly import Poly, PolyRing, RatFunc, _dense, _upoly_eval
+from charp.poly import Poly, PolyRing, RatFunc, _upoly_eval
 from charp.textform import parse_tower
 
 FIELDS = [(2, 1), (3, 1), (2, 2)]
+
+
+def _dense(f):
+    """The coefficient tuples of a univariate polynomial, low degree first,
+    read from its terms."""
+    return [f.terms.get((e,), f.ring.field.zero) for e in range(f.degree_in(0) + 1)]
 
 
 @pytest.mark.parametrize("p, d", FIELDS)

@@ -200,3 +200,18 @@ def test_verify_reports_a_missing_step_field_without_traceback(tmp_path, capsys)
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.strip() == "error: malformed certificate: KeyError: 'level_before'"
+
+
+def test_verify_reports_arithmetic_failure_as_malformed(tmp_path, capsys):
+    # the step's cubic has the root t1+t2, so 1/(j+t1+t2) divides by a zero
+    # divisor
+    entry = "[1/(j+t1+t2), t1)_2"
+    doc = {"p": 2, "tower": "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0",
+           "steps": [{"kind": "Reorder", "level_before": 1, "level_after": 1,
+                      "before": [entry], "after": [entry],
+                      "witnesses": {"perm": [0]}}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith("malformed at step 0: ")
+    assert "Traceback" not in err

@@ -162,3 +162,41 @@ def test_multivariate_case_quadratic_witness():
     assert out.total_length() <= 2
     assert verify_certificate(out.certificate).accepted
     assert out.norm_witness is not None
+
+
+def _witness_in_base_case():
+    K0 = parse_tower("GF(2)(t1,t2) ; ROOT r: r^2 = t1")
+    A = parse_expr("[1/t2, t1)_2 * [1/t1, t2)_2", K0)
+    K = InsepTower(tw.truncate(K0, 0))
+    K.add(parse_element("t1", tw.truncate(K0, 0)), "r")
+    return A, K, parse_symbol("[1/t1, t2)_2", K.tower, 1)[0], SearchConfig()
+
+
+def _quadratic_witness_case():
+    K0 = parse_tower("GF(2)(t1,t2) ; ROOT r: r^2 = t1")
+    A = parse_expr("[1/t2, t1)_2 * [1/t1, t1*t2)_2", K0)
+    K = InsepTower(tw.truncate(K0, 0))
+    K.add(parse_element("t1", tw.truncate(K0, 0)), "r")
+    cyclic = Symbol(parse_element("1/r", K.tower, 1), parse_element("r*t2", K.tower, 1))
+    return A, K, cyclic, SearchConfig(norm_bound=2)
+
+
+@pytest.mark.parametrize("case, build", [
+    ("norm-witness-in-base", _witness_in_base_case),
+    ("norm-witness-quadratic", _quadratic_witness_case),
+], ids=["in-base", "quadratic"])
+def test_reduction_certifies_and_replays_once(monkeypatch, case, build):
+    # the inner decomposition of a norm-witness path is part of the final
+    # answer, so only that answer is certified and replayed
+    import charp.descent as descent
+    A, K, cyclic, cfg = build()
+    replays = []
+
+    def counting(cert):
+        replays.append(cert)
+        return verify_certificate(cert)
+
+    monkeypatch.setattr(descent, "verify_certificate", counting)
+    out = reduce_to_cyclic_step(A, K, cyclic, cfg)
+    assert out.case == case
+    assert replays == [out.certificate]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp.ffield import TABLE_LIMIT, FiniteField, canonical_modulus
+from charp.ffield import TABLE_LIMIT, FiniteField, _exp_log_tables, canonical_modulus
 
 
 def test_canonical_moduli_are_deterministic():
@@ -103,6 +103,17 @@ def _reference_pow(F, a, e):
     return out
 
 
+def _reference_inv(F, a):
+    """a^(q-2) by square-and-multiply on the schoolbook product."""
+    out, base, e = F.one, a, F.order - 2
+    while e:
+        if e & 1:
+            out = _reference_mul(F, out, base)
+        base = _reference_mul(F, base, base)
+        e >>= 1
+    return out
+
+
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
 def test_tables_match_modulus_reduction(p, d):
     # In GF(9) and GF(49) the generator g has order 4, so tables built from
@@ -125,6 +136,7 @@ def test_tables_match_modulus_reduction(p, d):
 
 @pytest.mark.parametrize("p,d", [(2, 13), (3, 8), (2, 17)])
 def test_large_field_multiplies_without_tables(p, d):
+    tables_before = _exp_log_tables.cache_info().currsize
     F = FiniteField(p, d)
     assert F.order > TABLE_LIMIT
     a = F.pow(F.gen, 16)
@@ -133,8 +145,14 @@ def test_large_field_multiplies_without_tables(p, d):
     for x, y in [(a, a), (a, b), (b, F.gen), (F.zero, a)]:
         assert F.mul(x, y) == _reference_mul(F, x, y)
     assert F.mul(b, F.inv(b)) == F.one
+    for x in [F.one, F.gen, a, b, F.from_coeffs([p - 1] * d), F.from_coeffs([2, 1, 0, 1, 1])]:
+        x_inv = F.inv(x)
+        assert x_inv == _reference_inv(F, x)
+        assert _reference_mul(F, x, x_inv) == F.one
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
     assert F.pth_root(F.frob(b)) == b
-    assert F._tables() is None
+    assert _exp_log_tables.cache_info().currsize == tables_before
 
 
 def test_from_coeffs_reduces_long_lists_above_table_limit():

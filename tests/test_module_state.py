@@ -1,5 +1,5 @@
 """No module in ``src/charp`` keeps a module-level container it fills at run
-time.
+time, and importing the package fills none of its process-wide caches.
 
 Memo caches live on the interned towers and their rings (``poly._memo``);
 a module-level ``{}``, ``[]``, ``dict()`` or ``set()`` would be
@@ -10,6 +10,9 @@ one exemption.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "charp"
@@ -45,3 +48,18 @@ def _module_level_empty_containers():
 def test_no_module_level_empty_container():
     found = list(_module_level_empty_containers())
     assert not found, "module-level containers outside the tower registry:\n" + "\n".join(found)
+
+
+def test_import_builds_no_field_or_tower():
+    # Import time is part of every process's set-up: importing the package
+    # must build no finite field tables, search no modulus and intern no
+    # tower; all of that happens on first use.
+    script = ("import charp\n"
+              "from charp import ffield, towers\n"
+              "print(ffield._exp_log_tables.cache_info().currsize,"
+              " ffield.canonical_modulus.cache_info().currsize,"
+              " ffield._int_field.cache_info().currsize, len(towers._TOWERS))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0", "0", "0"]
