@@ -240,9 +240,10 @@ def _exp_log_tables(p: int, d: int):
 class FiniteField:
     """The field GF(p^d) with its canonical modulus.
 
-    All element-level operations take and return plain coefficient tuples;
-    the field object itself carries the arithmetic.  ``ints`` is the field
-    object on int codes that the kernel runs on.
+    All element-level operations take and return plain coefficient tuples.
+    Over GF(p) they compute on the one residue; over GF(p^d) they encode to
+    ``ints``, the field object on int codes that the kernel runs on, and
+    decode its result.
     """
 
     def __init__(self, p: int, d: int = 1):
@@ -288,19 +289,25 @@ class FiniteField:
         for code in range(self.order):
             yield tuple(_digits(code, self.p, self.d))
 
-    # -- arithmetic --
+    # -- arithmetic: GF(p) on the residue, GF(p^d) through the codes --
 
     def add(self, a: FFElem, b: FFElem) -> FFElem:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if self.d == 1:
+            return ((a[0] + b[0]) % self.p,)
+        f = self.ints
+        return f.decode(f.add(f.encode(a), f.encode(b)))
 
     def sub(self, a: FFElem, b: FFElem) -> FFElem:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if self.d == 1:
+            return ((a[0] - b[0]) % self.p,)
+        f = self.ints
+        return f.decode(f.sub(f.encode(a), f.encode(b)))
 
     def neg(self, a: FFElem) -> FFElem:
-        p = self.p
-        return tuple((-x) % p for x in a)
+        if self.d == 1:
+            return (-a[0] % self.p,)
+        f = self.ints
+        return f.decode(f.neg(f.encode(a)))
 
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
         if self.d == 1:
@@ -309,8 +316,7 @@ class FiniteField:
         return f.decode(f.mul(f.encode(a), f.encode(b)))
 
     def smul(self, n: int, a: FFElem) -> FFElem:
-        p = self.p
-        return tuple((n * x) % p for x in a)
+        return self.mul(self.from_int(n), a)
 
     def inv(self, a: FFElem) -> FFElem:
         if not any(a):
