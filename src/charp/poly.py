@@ -139,7 +139,8 @@ class Poly:
     @classmethod
     def _trusted(cls, ring: PolyRing, terms: Dict[Monomial, FFElem]) -> "Poly":
         """Wrap ``terms`` without the zero filter: for callers whose dict
-        cannot hold a zero coefficient, and which hand it over unshared."""
+        cannot hold a zero coefficient, and which hand it over unshared.
+        Over one variable it encodes, as the constructor does."""
         if ring.nvars == 1:
             return cls(ring, terms)
         f = cls.__new__(cls)
