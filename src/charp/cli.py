@@ -21,17 +21,15 @@ import json
 import sys
 
 from . import towers as tw
-from .bounds import NoApplicableRule, Scenario, bound, scenario_from_json
+from .bounds import Scenario, bound, scenario_from_json
 from .certify import Certificate, verify_certificate
 from .descent import DescentError, SearchConfig, frobenius_push
 from .drivers import DriverError, decompose
 from .experiment import ExperimentConfig, run_experiment
 from .ffield import FiniteField
-from .invariants import RealizeError
 from .oracle import expr_invariants, is_split
-from .textform import (ParseError, format_expr, format_invariant_vector,
-                       format_symbol, format_tower, invariant_vector_json,
-                       parse_expr, parse_symbol, parse_tower)
+from .textform import (format_expr, format_invariant_vector, format_symbol,
+                       invariant_vector_json, parse_expr, parse_symbol, parse_tower)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -228,8 +226,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, tw.StepError, NoApplicableRule, RealizeError,
-            ValueError, OSError, json.JSONDecodeError) as err:
+    # parse, step, scenario, realization and JSON errors are ValueErrors;
+    # an ArithmeticError comes from arithmetic in a degenerate tower
+    except (ValueError, ArithmeticError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR
     except (DescentError, DriverError) as err:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .ffield import FFElem, FiniteField, _code
 
@@ -471,19 +471,6 @@ def _upoly_powmod(ops, a: list, e: int, m: list) -> list:
                         lambda x, y: _upoly_divmod(ops, _upoly_mul(ops, x, y), m)[1])
 
 
-def _upoly_valuation(ops, f: list, pi: list) -> Tuple[int, list]:
-    """(v, u) with f = pi^v * u and pi not dividing u, for nonzero f."""
-    u = _upoly_trim(ops, list(f))
-    if not u:
-        raise ValueError("the zero polynomial has no finite valuation")
-    v = 0
-    while True:
-        q, r = _upoly_divmod(ops, u, pi)
-        if r:
-            return v, u
-        u, v = q, v + 1
-
-
 def _upoly_eval(ops, a: list, x):
     """a(x) by Horner's rule, with deg a products."""
     if not a:
@@ -599,10 +586,19 @@ def poly_inv_mod(a: Poly, m: Poly) -> Poly:
     return _upoly(a.ring, _upoly_inv_mod(a.ring.field.ints, a.coeffs, m.coeffs))
 
 
-def poly_valuation(f: Poly, pi: Poly) -> Tuple[int, Poly]:
-    """(v, u) with f = pi^v * u and pi not dividing u.  Univariate, f nonzero."""
-    v, u = _upoly_valuation(f.ring.field.ints, f.coeffs, pi.coeffs)
-    return v, _upoly(f.ring, u)
+def poly_valuation(f: Poly, pi: Poly, cap: Optional[int] = None) -> Tuple[int, Poly]:
+    """(v, u) with f = pi^v * u and pi not dividing u, by trial division;
+    v stops at ``cap`` when that is smaller.  f nonzero unless capped."""
+    if cap is None and f.is_zero():
+        raise ValueError("the zero polynomial has no finite valuation")
+    v = 0
+    while v != cap:
+        try:
+            f = poly_exact_div(f, pi)
+        except ArithmeticError:
+            break
+        v += 1
+    return v, f
 
 
 def _coeff_map(f: Poly, var_index: int) -> Dict[int, Poly]:

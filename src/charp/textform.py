@@ -258,7 +258,9 @@ class ElementParser:
     element at the first ``/`` between two polynomials (one reducing
     ``RatFunc`` construction per fraction), where it meets a generator or
     a tower element, and at the end of ``parse_cursor``.  The normal form
-    is unique, so the result equals the tower arithmetic of the text."""
+    is unique, so the result equals the tower arithmetic of the text.  A
+    power whose exponent times its base's degree exceeds
+    ``towers.MAX_POWER_DEGREE`` is a ``ParseError`` before it is computed."""
 
     def __init__(self, tower, level: int):
         from . import towers as tw
@@ -338,7 +340,16 @@ class ElementParser:
     def _factor(self, cur: _Cursor):
         base = self._atom(cur)
         if cur.accept("op", "^"):
+            pos = cur.pos
             n = int(cur.expect("int")[1])
+            if isinstance(base, Poly):
+                degree = base.total_degree()
+            else:  # at least 1: a generator's coordinates are constants, its powers are not
+                degree = max([1] + [max(c.num.total_degree(), c.den.total_degree())
+                                    for c in self.tw._coordinates(base, 0).values()])
+            if n * degree > self.tw.MAX_POWER_DEGREE:
+                raise ParseError("power above the degree budget %d"
+                                 % self.tw.MAX_POWER_DEGREE, pos)
             return base ** n if isinstance(base, Poly) else self.tw.power(base, n)
         return base
 

@@ -14,17 +14,19 @@ so equality is structural.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as _iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .ffield import FiniteField, _PrimeField
 from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _normalize_lead,
                    _powmod_poly, factor_univariate, poly_divmod_1var, poly_exact_div,
-                   poly_gcd, poly_inv_mod, _solve_linear, _upoly_divmod, _upoly_eval,
-                   _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
+                   poly_gcd, poly_inv_mod, poly_valuation, _solve_linear, _upoly_divmod,
+                   _upoly_eval, _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
+MAX_POWER_DEGREE = 256  # of a parsed power: exponent times its base's degree
 
 
 class StepError(ValueError):
@@ -934,9 +936,9 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     * cyclic step, N(c0 + c1 i) = c0^2 + c0 c1 + c1^2 w = y: substituting
       c0 = c1 u gives u^2 + u = (y - c1^2 w) / c1^2 = N / (C n^2).  It has
       a solution only if the reduced denominator is a square (for a reduced
-      u = s/r, u^2 + u = (s^2 + s r) / r^2 is reduced), so
-      ``_square_reduced_den`` rejects the other candidates before any
-      fraction is reduced.
+      u = s/r, u^2 + u = (s^2 + s r) / r^2 is reduced).  ``_CyclicSieve``
+      decides that from valuations read off the height pools' sieve, and
+      forms N only where they leave it open.
     * root step, N(c0 + c1 s) = c0^2 + c1^2 w = y: c0^2 = N / (C d^2) is a
       square exactly when N C = c0^2 (C d)^2 is a square polynomial, so no
       fraction is reduced but the witness's.
@@ -946,7 +948,6 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     step = tower.step_at(1)
     w = step_defining_elem(tower, 1).rep
     y0 = y.rep
-    is_as = (step.kind == "artin_schreier")
 
     def finish(c0: RatFunc, c1: RatFunc) -> Elem:
         z = Elem(tower, 1, (c0, c1))
@@ -960,81 +961,84 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     if root is not None:
         return finish(root, RatFunc.zero(tower.ring))
     A, B, C = y0.num * w.den, y0.den * w.num, y0.den * w.den
-    memo: dict = {}
+    sieve = _CyclicSieve(tower, (A, B, C)) if step.kind == "artin_schreier" else None
     for h in range(degree_bound + 1):
-        factors = _factors_of_height(tower, h)
         for c1 in _ratfuncs_of_height(tower, h):
             if c1.is_zero():
                 continue
             n, d = c1.num, c1.den
-            n2, d2 = n.pth_power(), d.pth_power()
-            N = A * d2 - B * n2
-            if is_as:
-                if not _square_reduced_den(N, n, (A, B, C), factors, memo):
+            if sieve is not None:
+                N = sieve.numerator(n, d, h)
+                if N is None:
                     continue
-                u = _as_preimage_base(Elem(tower, 0, RatFunc(N, C * n2)))
+                u = _as_preimage_base(Elem(tower, 0, RatFunc(N, C * n.pth_power())))
                 if u is None:
                     continue
                 return finish(c1 * u.rep, c1)
+            N = A * d.pth_power() - B * n.pth_power()
             if (N * C).pth_power_root() is None:
                 continue
-            return finish(RatFunc(N, C * d2).pth_root(), c1)
+            return finish(RatFunc(N, C * d.pth_power()).pth_root(), c1)
     return None
 
 
-def _square_reduced_den(N: Poly, n: Poly, abc: tuple, factors: dict, memo: dict) -> bool:
-    """Whether N / (C n^2), once reduced, has a square denominator, where
-    c1 = n/d is reduced, (A, B, C) = ``abc`` with A and B nonzero, and
+class _CyclicSieve:
+    """The cyclic resolvent's test for one (A, B, C) = ``abc``, A and B
+    nonzero: whether N / (C n^2), once reduced, has a square denominator,
+    for the candidates c1 = n/d (reduced, d monic) of the height pools, with
     N = A d^2 - B n^2.
 
-    ``factors`` is a height pool's sieve (``_factor_sets``) that holds the
-    monic associate of n, so the monic irreducible factors pi of n are
-    known.  At each, with k = v_pi(n), the denominator's valuation
-    v_pi(C) + 2k drops by v_pi(N), capped there, and must stay even.  As pi
-    does not divide d, v_pi(N) = min(v_pi(A), v_pi(B) + 2k) when the two
-    differ; otherwise trial division finds it.  The part C' of C prime to n
-    takes one gcd with N, and C' / gcd(N, C') must be a square.  The two
-    parts are coprime, so the denominator is a square exactly when both
-    are (constants are squares in GF(2^d)).  ``memo`` keeps, for the
-    candidates of one (A, B, C), the valuations of A, B and C at each pi
-    and C' for each set of primes."""
-    if N.is_zero():
-        return True
-    primes = factors[_normalize_lead(n)]
-    for pi in primes:
-        try:
-            va, vb, vc = memo[pi]
-        except KeyError:
-            va, vb, vc = memo[pi] = tuple(_strip(f, pi)[0] for f in abc)
-        k = _strip(n, pi)[0]
-        v_den = vc + 2 * k
-        if va != vb + 2 * k:
-            v_num = min(va, vb + 2 * k)
-        else:
-            v_num = _strip(N, pi, v_den)[0]
-        if (v_den - min(v_num, v_den)) % 2:
-            return False
-    try:
-        rest = memo[primes]
-    except KeyError:
-        rest = abc[2]
-        for pi in primes:
-            rest = _strip(rest, pi)[1]
-        memo[primes] = rest
-    return poly_exact_div(rest, poly_gcd(N, rest)).pth_power_root() is not None
+    By height h, C splits into a known part, the product of the sieve's
+    irreducibles of degree <= min(h, deg C) that divide it (``known``:
+    pi -> v_pi(C)), and a rest C'.  Every prime of n has degree <= h, so C'
+    is prime to n.  At each pi of n or of the known part, with k = v_pi(n)
+    and e = v_pi(d) read off the sieve, x = v_pi(A) + 2e and
+    y = v_pi(B) + 2k are the valuations of the two terms of N, so
+    v_pi(N) = min(x, y) when they differ; otherwise trial division finds
+    it.  The denominator's valuation D = v_pi(C) + 2k drops by v_pi(N),
+    capped at D, and must stay even.  At the primes of C', C' / gcd(N, C')
+    must be a square.  The parts are coprime, so the denominator is a
+    square exactly when every prime passes (constants are squares in
+    GF(2^d)).  N is formed only for a trial division, the gcd or a
+    candidate that passes."""
 
+    def __init__(self, tower: FieldTower, abc: tuple):
+        self.tower, self.abc, self.height = tower, abc, -1
+        self.known, self.rest = Counter(), abc[2]
+        self.memo: dict = {}  # pi -> (v_pi(A), v_pi(B), v_pi(C))
 
-def _strip(f: Poly, pi: Poly, cap: Optional[int] = None) -> Tuple[int, Poly]:
-    """(v, f / pi^v) for v = v_pi(f), or ``cap`` when that is smaller, by
-    trial division; f nonzero."""
-    v = 0
-    while v != cap:
-        try:
-            f = poly_exact_div(f, pi)
-        except ArithmeticError:
-            break
-        v += 1
-    return v, f
+    def numerator(self, n: Poly, d: Poly, h: int) -> Optional[Poly]:
+        """N for a candidate of height <= h that passes, None otherwise."""
+        while self.height < h:
+            self.height += 1
+            self.factors = _factors_of_height(self.tower, self.height)
+            for pi, fs in self.factors.items():  # only degree h is new
+                if fs == {pi: 1} and pi.total_degree() == self.height <= self.rest.total_degree():
+                    v, self.rest = poly_valuation(self.rest, pi)
+                    if v:
+                        self.known[pi] = v
+        A, B, _ = self.abc
+        n_fac, d_fac = self.factors[_normalize_lead(n)], self.factors[d]
+        tied = []
+        for pi in n_fac.keys() | self.known.keys():
+            if pi not in self.memo:
+                self.memo[pi] = (poly_valuation(A, pi)[0], poly_valuation(B, pi)[0],
+                                 self.known[pi])
+            va, vb, vc = self.memo[pi]
+            x, y, D = va + 2 * d_fac[pi], vb + 2 * n_fac[pi], vc + 2 * n_fac[pi]
+            if x == y:
+                tied.append((pi, D))
+            elif (D - min(x, y, D)) % 2:
+                return None
+        N = A * d.pth_power() - B * n.pth_power()
+        if N.is_zero():
+            return N
+        if any((D - poly_valuation(N, pi, D)[0]) % 2 for pi, D in tied):
+            return None
+        rest = self.rest
+        if rest.total_degree() and poly_exact_div(rest, poly_gcd(N, rest)).pth_power_root() is None:
+            return None
+        return N
 
 
 def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
@@ -1132,12 +1136,12 @@ def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     dens = _polys_up_to(ring, h, monic=True)
     # FieldTower(...) is the interned base tower of the ring
     factors = _factors_of_height(FieldTower(ring.field, ring.variables), h)
-    dens = [(den, den.total_degree(), factors[den]) for den in dens]
+    dens = [(den, den.total_degree(), factors[den].keys()) for den in dens]
     everything = frozenset().union(*factors.values())
     out = []
     for num in nums:
         top = num.total_degree() == h
-        num_factors = (factors[_normalize_lead(num)]
+        num_factors = (factors[_normalize_lead(num)].keys()
                        if not num.is_zero() else everything)
         for den, d, den_factors in dens:
             if (top or d == h) and num_factors.isdisjoint(den_factors):
@@ -1147,11 +1151,12 @@ def _ratfuncs_built(ring: PolyRing, h: int) -> list:
 
 def _factor_sets(monics: list) -> dict:
     """Map each of ``monics``, all monic polynomials of total degree <= h for
-    some h, to its set of monic irreducible factors.
+    some h, to its factorization, a ``Counter`` {pi: multiplicity} of monic
+    irreducibles.
 
     A sieve, with no division: walked in ascending degree, a member that no
     product of two earlier members has reached is irreducible, and every
-    product f*g of degree <= h gets the union of the factor sets of f and
+    product f*g of degree <= h gets the sum of the factorizations of f and
     g.  Leading coefficients multiply, so the product is a monic member."""
     h = max(f.total_degree() for f in monics)
     factors: dict = {}
@@ -1159,13 +1164,13 @@ def _factor_sets(monics: list) -> dict:
     for f in sorted(monics, key=Poly.total_degree):
         d = f.total_degree()
         if d == 0:
-            factors[f] = frozenset()
+            factors[f] = Counter()
             continue
-        fs = factors.setdefault(f, frozenset((f,)))
+        fs = factors.setdefault(f, Counter({f: 1}))
         walked.append((f, d, fs))
         for g, e, gs in walked:
             if d + e <= h:
-                factors[f * g] = fs | gs
+                factors[f * g] = fs + gs
     return factors
 
 

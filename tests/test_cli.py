@@ -135,14 +135,17 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code3 == 2 and "not completed" in err3
 
 
-@pytest.mark.parametrize("tower", ["GF(0)(t)", "GF(1)(t)"])
-def test_field_size_below_two_is_an_error_not_a_traceback(tower):
+def _run_subprocess(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "charp.cli", "invariants", "--tower", tower,
-         "--expr", "[1, t)_2"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "charp.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("tower", ["GF(0)(t)", "GF(1)(t)"])
+def test_field_size_below_two_is_an_error_not_a_traceback(tower):
+    proc = _run_subprocess("invariants", "--tower", tower, "--expr", "[1, t)_2")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: constant field size must be a prime power (at position 0)"]
@@ -187,6 +190,23 @@ def test_verify_reports_forged_and_wrong_typed_steps_as_malformed(tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["invariants", "--expr", "[1/(j+t1+t2), t1)_2"],
+    ["splits", "--strategy", "invariants", "[1/(j+t1+t2), t1)_2"],
+])
+def test_arithmetic_failure_is_an_error_not_a_traceback(command):
+    # the zero divisor of the certificate test above, met while parsing the
+    # symbol
+    proc = _run_subprocess(
+        command[0], "--tower",
+        "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0",
+        "--level", "1", *command[1:])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: step relation is reducible; tower arithmetic is inconsistent"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_forged_merge_class_is_nonsplit(capsys):
     code, out, _ = run(capsys, "splits", "--strategy", "invariants", "[1/t, t+1)_2")
     assert code == 0 and out.strip() == "nonsplit: invariant 1/2 at (t)"
@@ -215,3 +235,20 @@ def test_verify_reports_arithmetic_failure_as_malformed(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out.startswith("malformed at step 0: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["invariants", "--expr", "[1/(j+t1+t2), t1)_2"],
+    ["splits", "--strategy", "invariants", "[1/(j+t1+t2), t1)_2"],
+])
+def test_arithmetic_failure_is_an_error_not_a_traceback(command):
+    # the zero divisor of the certificate test above, met while parsing the
+    # symbol
+    proc = _run_subprocess(
+        command[0], "--tower",
+        "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0",
+        "--level", "1", *command[1:])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: step relation is reducible; tower arithmetic is inconsistent"]
+    assert "Traceback" not in proc.stderr

@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_poly, rand_ratfunc
 from charp.ffield import FiniteField
 from charp.poly import (Poly, PolyRing, RatFunc, _coeff_map, factor_univariate,
-                        normalize, poly_exact_div, poly_gcd)
+                        normalize, poly_exact_div, poly_gcd, poly_valuation)
 from charp.textform import format_ratfunc, parse_element
 from charp.towers import FieldTower
 
@@ -245,3 +245,17 @@ def test_trusted_results_hold_no_zero_coefficient(field, nvars, xc, yc, k):
             _assert_clean(f)
     for mon in [(0,) * nvars, (1,) * nvars]:
         assert Poly(R, {mon: R.field.zero}).is_zero()
+
+
+def test_poly_valuation_in_two_variables_and_capped():
+    R = PolyRing(FiniteField(2), ["t1", "t2"])
+    t1, t2, one = R.var("t1"), R.var("t2"), R.one()
+    pi = t1 + t2
+    f = pi ** 3 * (t1 + one)
+    assert poly_valuation(f, pi) == (3, t1 + one)
+    assert poly_valuation(f, pi, 2) == (2, pi * (t1 + one))
+    assert poly_valuation(f, t2) == (0, f)
+    # a cap bounds the loop on zero, which every pi divides
+    assert poly_valuation(R.zero(), pi, 4) == (4, R.zero())
+    with pytest.raises(ValueError):
+        poly_valuation(R.zero(), pi)

@@ -7,7 +7,8 @@ w = wn/wd, it forms N = a wd d^2 - b wn n^2 and C = b wd and reduces no
 fraction for a candidate it rejects:
 
 * cyclic step: rhs = N / (C n^2) needs a square reduced denominator, which
-  ``towers._square_reduced_den`` decides;
+  ``towers._CyclicSieve`` decides from valuations read off the height
+  pools' sieve, forming N only where they leave the verdict open;
 * root step: c0^2 = N / (C d^2) is a square exactly when N C is.
 
 Both verdicts are compared here with the reduced fractions, written out the
@@ -50,7 +51,7 @@ def test_rejection_matches_the_reduced_fraction(text, data):
     y0, _ = _draw(data, base, top)
     w, _ = _draw(data, base, top)
     abc = (y0.num * w.den, y0.den * w.num, y0.den * w.den)
-    memo: dict = {}  # shared by the candidates of one (y, w), as in the search
+    sieve = tw._CyclicSieve(base, abc)  # shared by the candidates of one (y, w)
     for _ in range(4):
         c1, h = _draw(data, base, top)
         n, d = c1.num, c1.den
@@ -58,8 +59,9 @@ def test_rejection_matches_the_reduced_fraction(text, data):
         c1sq = c1 * c1
         # cyclic step: u^2 + u = rhs
         rhs = (y0 - c1sq * w) / c1sq
-        verdict = tw._square_reduced_den(N, n, abc, tw._factors_of_height(base, h), memo)
-        assert verdict == (rhs.den.pth_power_root() is not None), (y0, w, c1)
+        numerator = sieve.numerator(n, d, h)
+        assert numerator in (None, N), (y0, w, c1)
+        assert (numerator is not None) == (rhs.den.pth_power_root() is not None), (y0, w, c1)
         # root step: c0^2 = y0 - c1^2 w, a square exactly when N C is
         c0sq = y0 - c1sq * w
         assert ((N * abc[2]).pth_power_root() is not None) == (c0sq.pth_root() is not None), \
@@ -141,3 +143,17 @@ def test_solve_norm_matches_the_reference_loop(key, data):
 def test_solve_norm_matches_the_reference_loop_to_bound_2(tower, y):
     T = parse_tower(tower)
     _assert_same_witness(parse_element(y, T, 0), 2)
+
+
+@pytest.mark.parametrize("tower, y", [
+    # C = t1+g*t2+(g+1) lies in the sieve from height 1 on: no witness, and
+    # 1200 of 1263 candidates used to take a gcd with C
+    ("GF(4)(t1,t2) ; AS i: i^2+i = t2+(g+1)", "((g+1)*t1+1)/(t1+g*t2+(g+1))"),
+    # C = t1*(t1^2+t2): the irreducible t1^2+t2 has total degree 2, above
+    # the bound, so it stays in C' and every candidate that passes the
+    # valuations at t1 takes the gcd with it
+    ("GF(2)(t1,t2) ; AS w: w^2+w = 1/t1", "t2/(t1^2+t2)"),
+])
+def test_solve_norm_matches_the_reference_loop_to_bound_1(tower, y):
+    T = parse_tower(tower)
+    _assert_same_witness(parse_element(y, T, 0), 1)

@@ -1,11 +1,12 @@
 """Differential test of the height-pool sieve against trial division.
 
 ``towers._factor_sets`` maps every monic polynomial of total degree <= h
-to the set of its monic irreducible factors.  The reference here is brute
-force: a member of positive degree is irreducible when no monic member of
-lower positive degree divides it (``poly_exact_div`` raises
-``ArithmeticError`` for each), and a member's factor set holds exactly the
-irreducibles that divide it.  The univariate counts per degree are checked
+to its factorization {pi: multiplicity} into monic irreducibles.  The
+reference here is brute force: a member of positive degree is irreducible
+when no monic member of lower positive degree divides it
+(``poly_exact_div`` raises ``ArithmeticError`` for each), a member's
+factorization holds exactly the irreducibles that divide it, and each
+multiplicity is the number of times trial division by pi succeeds.  The univariate counts per degree are checked
 against Gauss's formula (1/n) sum_{d | n} mu(d) q^(n/d).
 """
 
@@ -30,8 +31,16 @@ def _sieve(base, h):
     return monics, tw._factor_sets(monics)
 
 
+def _valuation(g, f) -> int:
+    v = 0
+    while _divides(g, f):
+        f = poly_exact_div(f, g)
+        v += 1
+    return v
+
+
 def _irreducibles(factors) -> set:
-    return {f for f, fs in factors.items() if fs == {f}}
+    return {f for f, fs in factors.items() if fs == {f: 1}}
 
 
 @pytest.mark.parametrize("base, h", [("GF(2)(t1,t2)", 2), ("GF(3)(t)", 3), ("GF(2)(t)", 4)])
@@ -43,7 +52,8 @@ def test_sieve_matches_trial_division(base, h):
                                if 0 < g.total_degree() < f.total_degree())}
     assert _irreducibles(factors) == irreducible
     for f in monics:
-        assert factors[f] == {g for g in irreducible if _divides(g, f)}
+        assert set(factors[f]) == {g for g in irreducible if _divides(g, f)}
+        assert factors[f] == {g: _valuation(g, f) for g in factors[f]}
 
 
 def _moebius(n: int) -> int:

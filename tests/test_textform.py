@@ -105,6 +105,26 @@ def test_element_error_messages_and_positions(f2t, text, message, pos):
     assert err.value.pos == pos
 
 
+@pytest.mark.parametrize("tower, level, text, pos", [
+    ("GF(3)(t)", 0, "(t+1)^100000", 6),
+    ("GF(3)(t)", 0, "(t+1)^1000/(t^2+1)^1000", 6),
+    # the inner power fits the budget, the outer one doubles its degree
+    ("GF(2)(t1,t2)", 0, "((t1+t2)^200)^2", 14),
+    # a generator's coordinates are constants, yet its powers grow
+    ("GF(2)(t) ; AS i: i^2+i = 1/t", 1, "t+i^100000", 4),
+    ("GF(2)(t) ; AS i: i^2+i = 1/t", 1, "(1/t^2)^129", 8),
+])
+def test_power_above_the_degree_budget_fails_before_computing(tower, level, text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, parse_tower(tower), level)
+    assert str(err.value) == "power above the degree budget %d (at position %d)" % (
+        tw.MAX_POWER_DEGREE, pos)
+
+
+def test_power_at_the_degree_budget_parses(f3t):
+    assert parse_element("(t+1)^256", f3t) == parse_element("(t+1)^128*(t+1)^128", f3t)
+
+
 def test_expression_error_message_and_position(f2t):
     with pytest.raises(ParseError) as err:
         parse_expr("[1, t)_2 * ", f2t)

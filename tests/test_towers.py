@@ -228,26 +228,36 @@ def test_solve_norm_sound_and_monotone():
 
 
 def test_char2_resolvent_rejects_candidates_without_reducing(monkeypatch):
-    """The cyclic search of the quadratic witness-only run, to bound 2,
-    counting ``poly_gcd`` calls with their recursion.  Reducing
-    (y - c1^2 w) / c1^2 for every candidate took 13,015 calls; rejecting
-    candidates whose reduced denominator cannot be a square, before any
-    fraction is reduced, takes 824."""
-    calls = [0]
-    gcd = poly.poly_gcd
-
-    def counted(a, b):
-        calls[0] += 1
-        return gcd(a, b)
-
-    monkeypatch.setattr(poly, "poly_gcd", counted)
-    monkeypatch.setattr(tw, "poly_gcd", counted)
+    """The cyclic search of the quadratic witness-only run, to bound 2, with
+    its height pools built, counting ``poly_gcd`` calls with their recursion
+    and ``Poly`` products.  Reducing (y - c1^2 w) / c1^2 for every candidate
+    took 13,015 gcds; a per-candidate gcd with the part of C prime to n took
+    824 gcds and 1,761 products.  C = t1 lies in the sieve from height 1 on,
+    so valuations read off the sieve reject the 871 other candidates: 10
+    gcds and 133 products."""
     T = parse_tower("GF(2)(t1,t2) ; AS w: w^2+w = 1/t1")
     y = parse_element("t1*t2^2", T, 0)
-    calls[0] = 0
-    z = tw.solve_norm(y, 1, 0, 2)
+    for h in range(3):
+        tw._ratfuncs_of_height(T, h)
+    calls = {"gcd": 0, "mul": 0}
+    gcd, mul = poly.poly_gcd, poly.Poly.__mul__
+
+    def counted_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd(a, b)
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(tw, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(poly.Poly, "__mul__", counted_mul)
+    # the search itself, past solve_norm's memo
+    z = tw._solve_norm_char2_resolvent(y, 2)
     assert format_elem(z) == "(t1*t2)*w"
-    assert calls[0] <= 2000
+    assert calls["gcd"] <= 20
+    assert calls["mul"] <= 200
 
 
 def test_p_independence_guard(f2t):
