@@ -191,6 +191,15 @@ def _as_preimage_or_none(a: Elem) -> Optional[Elem]:
         return None
 
 
+def _as_shift_between(x: Elem, y: Elem) -> Optional[Elem]:
+    """The c that ``artin_schreier_preimage`` gives for x - y, or None.
+    Memoized on the tower below the slots' level by the ordered pair of
+    representations: the preimage of y - x may differ from -c by a constant
+    of GF(p), so the pair is not sorted."""
+    return tw._memo_on_prefix(
+        "as_shift", lambda u, v: _as_preimage_or_none(tw.sub(u, v)), x, y)
+
+
 def _pth_root_or_none(b: Elem) -> Optional[Elem]:
     try:
         return tw.pth_root_in_level(b)
@@ -311,7 +320,7 @@ def match_as_shifts(expr: BrauerExpr, recorder=None) -> BrauerExpr:
                 si, sj = cur.entries[i], cur.entries[j]
                 if si.a == sj.a:
                     continue
-                c = _as_preimage_or_none(tw.sub(si.a, sj.a))
+                c = _as_shift_between(si.a, sj.a)
                 if c is None:
                     continue
                 shifted = Symbol(tw.add(sj.a, tw.wp(c)), sj.b)

@@ -15,6 +15,7 @@ normal forms; serialized artifacts round-trip byte for byte.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from typing import List, Optional, Tuple
@@ -347,9 +348,7 @@ class ElementParser:
             else:  # at least 1: a generator's coordinates are constants, its powers are not
                 degree = max([1] + [max(c.num.total_degree(), c.den.total_degree())
                                     for c in self.tw._coordinates(base, 0).values()])
-            if n * degree > self.tw.MAX_POWER_DEGREE:
-                raise ParseError("power above the degree budget %d"
-                                 % self.tw.MAX_POWER_DEGREE, pos)
+            _check_power_budget(n * degree, pos)
             return base ** n if isinstance(base, Poly) else self.tw.power(base, n)
         return base
 
@@ -371,6 +370,14 @@ class ElementParser:
                 raise ParseError("unknown variable %r" % tok[1], cur.pos)
             return el
         raise ParseError("expected a value", cur.pos)
+
+
+def _check_power_budget(degree: int, pos: int) -> None:
+    """A ``ParseError`` at ``pos`` when a power of this degree (exponent times
+    its base's degree) exceeds ``towers.MAX_POWER_DEGREE``."""
+    from . import towers as tw
+    if degree > tw.MAX_POWER_DEGREE:
+        raise ParseError("power above the degree budget %d" % tw.MAX_POWER_DEGREE, pos)
 
 
 def parse_element(text: str, tower, level: int = 0):
@@ -447,7 +454,7 @@ def _parse_gf(head: str) -> Tuple[FiniteField, List[str]]:
     q = int(m.group(1))
     if q < 2:
         raise ParseError("constant field size must be a prime power", 0)
-    p = next(cand for cand in range(2, q + 1) if q % cand == 0)
+    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
     d = 0
     qq = q
     while qq > 1:
@@ -528,6 +535,7 @@ def _parse_simple_lhs(lhs: str, offset: int, gen: str, tower) -> list:
         m = term_re.fullmatch(piece)
         if m is not None:
             e = int(m.group("exp") or 1)
+            _check_power_budget(e, at + m.start("exp"))
             c_text, c_at = m.group("coeff") or "1", at + max(m.start("coeff"), 0)
         else:
             e = 0

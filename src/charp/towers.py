@@ -533,17 +533,19 @@ def _pool_candidates(tower: FieldTower, level: int):
 # p-th powers
 # ---------------------------------------------------------------------------
 
-def _memo_on_prefix(x: Elem, name: str, compute) -> Optional[Elem]:
-    """``compute`` applied to x on the tower below x's level, memoized there
-    by representation, so every tower sharing that prefix shares it."""
-    prefix = truncate(x.tower, x.level)
+def _memo_on_prefix(name: str, compute, *xs: Elem) -> Optional[Elem]:
+    """``compute`` applied to the elements xs (one tower, one level) on the
+    tower below their level, memoized there by the tuple of their
+    representations, so every tower sharing that prefix shares it."""
+    tower, level = xs[0].tower, xs[0].level
+    prefix = truncate(tower, level)
 
     def rep_or_none():
-        out = compute(Elem(prefix, x.level, x.rep))
+        out = compute(*(Elem(prefix, level, x.rep) for x in xs))
         return None if out is None else out.rep
 
-    rep = _memo(prefix, (name, x.rep), rep_or_none)
-    return None if rep is None else Elem(x.tower, x.level, rep)
+    rep = _memo(prefix, (name,) + tuple(x.rep for x in xs), rep_or_none)
+    return None if rep is None else Elem(tower, level, rep)
 
 
 def pth_root_in_level(x: Elem) -> Optional[Elem]:
@@ -556,7 +558,7 @@ def pth_root_in_level(x: Elem) -> Optional[Elem]:
     over the base), and over levels with a rational presentation; other
     tower shapes raise.
     """
-    return _memo_on_prefix(x, "pth_root", _pth_root_uncached)
+    return _memo_on_prefix("pth_root", _pth_root_uncached, x)
 
 
 def _pth_root_uncached(x: Elem) -> Optional[Elem]:
@@ -662,7 +664,7 @@ def artin_schreier_preimage(a: Elem) -> Optional[Elem]:
     base by matching generator coordinates; other tower shapes go through
     the rational presentation when one exists.
     """
-    return _memo_on_prefix(a, "as_preimage", _as_preimage_uncached)
+    return _memo_on_prefix("as_preimage", _as_preimage_uncached, a)
 
 
 def _as_preimage_uncached(a: Elem) -> Optional[Elem]:

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from charp import certify, towers as tw
+from charp import certify, drivers, towers as tw
 from charp.bounds import Scenario
 from charp.certify import verify_certificate
 from charp.descent import InsepTower, SearchConfig
@@ -10,7 +10,9 @@ from charp.drivers import (DriverError, IndexReduction, decompose,
                            index_reduction_step)
 from charp.experiment import ExperimentConfig, run_experiment
 from charp.oracle import expr_invariants
-from charp.textform import format_expr, parse_expr, parse_tower
+from charp.symbols import BrauerExpr
+from charp.textform import (format_expr, format_place, format_symbol, parse_expr,
+                            parse_tower)
 
 
 def test_albert_driver():
@@ -64,6 +66,32 @@ def test_cyclic_step_driver_full_pipeline():
     assert expr_invariants(out) == expr_invariants(A)
     methods = {l.method for l in res.labels}
     assert "oracle" in methods
+
+
+def test_cyclic_step_driver_assembles_the_presentation_place_by_place(monkeypatch):
+    # b = i has the constant minimal polynomial x^2+x+1, so the splitting
+    # tower needs no root step and the class keeps its invariants at the
+    # places t and t+1, from which the radical slot t^2+t is assembled
+    seen = []
+    presentation = drivers._cyclic_presentation
+    monkeypatch.setattr(drivers, "_cyclic_presentation",
+                        lambda *args: seen.append(presentation(*args)) or seen[-1])
+    scn = Scenario(2, "split_by_cyclic_p", lambda_bound=1, attached={
+        "tower": "GF(2)(t) ; AS i: i^2+i = 1",
+        "expr": "[1, t)_2 * [1, t+1)_2",
+        "lambda_expr": "[1/t, i)_2",
+    })
+    res = decompose(scn)
+    T = parse_tower("GF(2)(t)")
+    A = parse_expr("[1, t)_2 * [1, t+1)_2", T)
+    v = expr_invariants(A)
+    assert sorted(format_place(w) for w in v.support()) == ["(t)", "(t+1)"]
+    [cyclic] = seen
+    assert cyclic.tower is T and format_symbol(cyclic) == "[1, t^2+t)_2"
+    assert expr_invariants(BrauerExpr(T, 0, [cyclic])) == v
+    assert res.achieved <= res.report.value
+    assert verify_certificate(res.certificate).accepted
+    assert expr_invariants(parse_expr(format_expr(res.expr), T)) == v
 
 
 def test_cyclic_step_driver_rejects_wrong_presentation():

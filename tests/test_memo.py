@@ -1,20 +1,25 @@
 """Differential tests for the memos of pure answers: invariant vectors,
-factorizations and norm searches are computed once per key and come back
-equal to a fresh computation, and certificate replay parses each entry text
-once per call without weakening the chaining check."""
+factorizations, norm searches and Artin-Schreier shift tests are computed
+once per key and come back equal to a fresh computation, and certificate
+replay parses each entry text once per call without weakening the chaining
+check."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from charp import oracle
+from charp import oracle, symbols
 from charp import towers as tw
+from charp.bounds import Scenario
 from charp.certify import Certificate, CertStep, verify_certificate
+from charp.drivers import decompose
 from charp.invariants import symbol_vector
 from charp.poly import PolyRing, factor_univariate
 from charp.ffield import FiniteField
 from charp.symbols import BrauerExpr, Symbol, norm_witness, splitting_extension
-from charp.textform import parse_symbol, parse_tower
+from charp.textform import parse_element, parse_symbol, parse_tower
 
 # (shallow tower, deeper tower with the same steps below the symbol's level,
 #  level, symbol text); every level here has a rational presentation, and
@@ -89,6 +94,68 @@ def test_norm_witness_and_solve_norm_share_one_entry(monkeypatch, text, bound, f
     monkeypatch.setattr(tw, "_solve_norm_uncached", no_search)
     assert tw.solve_norm(y, 1, 0, bound) == z
     assert norm_witness(sym, bound) == z
+
+
+@pytest.mark.parametrize("x_text,y_text,found", [
+    ("t1^2+t1+1/t2", "1/t2", True),                      # c = t1
+    ("t1^2/(t2^2+1)+t1/(t2+1)+t2", "t2", True),          # c = t1/(t2+1)
+    ("1/t2", "1/t1", False),                             # no c
+])
+def test_shift_test_is_memoized_per_prefix_and_ordered_pair(monkeypatch, x_text,
+                                                            y_text, found):
+    low = parse_tower("GF(2)(t1,t2)")
+    high = parse_tower("GF(2)(t1,t2) ; ROOT r: r^2 = t1")
+    assert tw.truncate(high, 0) is low
+    x, y = parse_element(x_text, low), parse_element(y_text, low)
+    key = ("as_shift", x.rep, y.rep)
+    low.memo.pop(key, None)
+    fresh = tw._as_preimage_uncached(tw.sub(x, y))
+    assert (fresh is not None) == found
+    assert symbols._as_shift_between(x, y) == fresh
+    stored = low.memo[key]  # on tw.truncate(tower, 0), by the ordered pair
+    assert stored == (None if fresh is None else fresh.rep)
+
+    subs = []
+    sub = tw.sub
+    monkeypatch.setattr(tw, "sub", lambda *args: subs.append(args) or sub(*args))
+    again = symbols._as_shift_between(tw.rebind(x, high), tw.rebind(y, high))
+    assert subs == []  # served from the entry on the shared prefix
+    if fresh is None:
+        assert again is None
+    else:
+        assert again.tower is high and again.rep == fresh.rep
+
+
+def test_shift_matching_subtracts_each_ordered_pair_once(monkeypatch):
+    """The Albert run of criterion 8 tests the same pairs of a slots many
+    times; with cold memos it subtracts each ordered pair at most once."""
+    monkeypatch.setattr(tw, "_TOWERS", {})  # fresh towers, empty memos
+    pairs, subs, inside = [], [], []
+    between, sub = symbols._as_shift_between, tw.sub
+
+    def counting_between(x, y):
+        pairs.append((tw.truncate(x.tower, x.level), x.rep, y.rep))
+        inside.append(True)
+        try:
+            return between(x, y)
+        finally:
+            inside.pop()
+
+    def counting_sub(x, y):
+        if inside and sys._getframe(1).f_globals["__name__"] == symbols.__name__:
+            subs.append((x.rep, y.rep))
+        return sub(x, y)
+
+    monkeypatch.setattr(symbols, "_as_shift_between", counting_between)
+    monkeypatch.setattr(tw, "sub", counting_sub)
+    res = decompose(Scenario(2, "split_by_insep", n=2, attached={
+        "tower": "GF(2)(t1,t2) ; ROOT r: r^2 = t1 ; ROOT u: u^2 = t2",
+        "expr": "[1/t2, t1)_2 * [1/t1, t2)_2",
+    }))
+    assert res.case == "albert" and res.achieved <= res.report.value
+    distinct = len(set(pairs))
+    assert distinct < len(pairs)  # the search repeats pair tests
+    assert 0 < len(subs) <= distinct
 
 
 def _shift_chain(second_before):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -154,6 +155,40 @@ def test_tower_error_positions_count_from_the_whole_text(text, message, pos):
 def test_tower_rejects_field_sizes_below_two(q):
     with pytest.raises(ParseError, match="constant field size must be a prime power"):
         parse_tower("GF(%d)(t)" % q)
+
+
+@pytest.mark.parametrize("q", [6, 12])
+def test_tower_rejects_field_sizes_with_two_primes(q):
+    with pytest.raises(ParseError, match="constant field size must be a prime power"):
+        parse_tower("GF(%d)(t)" % q)
+
+
+@pytest.mark.parametrize("q, p, d", [(4, 2, 2), (9, 3, 2), (8, 2, 3), (2, 2, 1)])
+def test_tower_reads_prime_power_field_sizes(q, p, d):
+    field = parse_tower("GF(%d)(t)" % q).base_field
+    assert (field.p, field.d) == (p, d)
+
+
+def test_tower_field_size_is_factored_up_to_its_square_root():
+    start = time.perf_counter()
+    field = parse_tower("GF(1000000007)(t)").base_field
+    assert time.perf_counter() - start < 0.5
+    assert (field.p, field.d) == (1000000007, 1)
+
+
+def test_simple_step_power_above_the_budget_fails_before_building_it():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_tower("GF(2)(t) ; EXT j: j^100000+(t)*j+(t) = 0")
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == "power above the degree budget %d (at position 20)" % (
+        tw.MAX_POWER_DEGREE)
+
+
+@pytest.mark.parametrize("e", [4, tw.MAX_POWER_DEGREE])
+def test_simple_step_within_the_budget_keeps_its_degree_error(e):
+    with pytest.raises(tw.StepError, match="simple steps above degree 3 are not supported"):
+        parse_tower("GF(2)(t) ; EXT j: j^%d+(t)*j+(t) = 0" % e)
 
 
 def test_tower_reserves_g_over_extended_constants():
