@@ -16,13 +16,15 @@ oracle-checked, witness-checked, or assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
 from . import towers as tw
 from .certify import CertBuilder, Certificate, verify_certificate
 from .invariants import BackendError, RealizeError
 from .oracle import expr_invariants, expr_is_split, is_split, realize
-from .symbols import BrauerExpr, LevelMismatch, Symbol, reduce_expr
+from .symbols import (BrauerExpr, LevelMismatch, Symbol, _as_shift_between,
+                      reduce_expr)
 
 
 class DescentError(RuntimeError):
@@ -259,28 +261,19 @@ def _match_slots(result: BrauerExpr, K: InsepTower) -> List[Optional[int]]:
 def _albert_search(e: BrauerExpr, K: InsepTower,
                    cfg: SearchConfig) -> Tuple[BrauerExpr, List[Optional[int]]]:
     """Bounded coefficient search for the left slots, one per radicand,
-    verified by elementary reduction of e (x) candidate^op to empty."""
+    verified by elementary reduction of e (x) candidate^op to empty, in
+    ``product`` order; ``_ClassScreen`` skips choices that cannot close."""
     tower = K.tower
     f_level = K.over_level
-    rads = K.radicands()
-    pool = [tw.Elem(tower, 0, rf)
-            for rf in _slot_pool(tower, cfg.albert_height)]
-    from itertools import combinations, product as iproduct
-    n = len(rads)
-    for size in range(0, n + 1):
-        for subset in combinations(range(n), size):
-            for choice in iproduct(pool, repeat=size):
-                entries = []
-                ok = True
-                for slot_idx, a0 in zip(subset, choice):
-                    a = tw.lift(a0, f_level)
-                    if a.is_zero():
-                        ok = False
-                        break
-                    entries.append(Symbol(a, tw.lift(rads[slot_idx], f_level)))
-                if not ok and size:
-                    continue
-                cand = BrauerExpr(tower, f_level, entries)
+    rads = [tw.lift(b, f_level) for b in K.radicands()]
+    pool = [tw.lift(tw.Elem(tower, 0, rf), f_level) for h in range(cfg.albert_height + 1)
+            for rf in tw._ratfuncs_of_height(tower, h)]
+    screen = _ClassScreen(e, rads, pool)
+    for size in range(0, len(rads) + 1):
+        for subset in combinations(range(len(rads)), size):
+            for choice in screen.choices(subset):
+                cand = BrauerExpr(tower, f_level, [Symbol(pool[i], rads[k])
+                                                   for k, i in zip(subset, choice)])
                 # merges and shifts only: keeps candidate screening cheap
                 test = reduce_expr(cand.op().tensor(e), norm_bound=0)
                 if test.is_empty():
@@ -289,11 +282,92 @@ def _albert_search(e: BrauerExpr, K: InsepTower,
                        "(left-slot height %d)" % cfg.albert_height)
 
 
-def _slot_pool(tower: tw.FieldTower, height: int):
-    out = []
-    for h in range(height + 1):
-        out.extend(tw._ratfuncs_of_height(tower, h))
-    return out
+_UNKNOWN = "unknown"
+
+
+def _decided(test, *args):
+    """``test(*args)``, or ``_UNKNOWN`` where the tower cannot decide it."""
+    try:
+        return test(*args)
+    except NotImplementedError:
+        return _UNKNOWN
+
+
+class _ClassScreen:
+    """The left-slot choices that ``reduce_expr(cand^op (x) e, norm_bound=0)``
+    may empty.  Every rule of that reduction (slot shifts, drops of a trivial
+    a or of b = 1, same-a merges, shift matching) keeps the map from each
+    nonzero Artin-Schreier class of the a slots to the product of its b
+    slots modulo p-th powers, and the empty expression maps all to 1.  A
+    class of e with no p-th power product is *open*; as each slot joins one
+    class, a prefix is cut when more open classes are uncovered than slots
+    remain, and a full choice when a class of e it joins stays open.  A test
+    the tower cannot decide never cuts."""
+
+    def __init__(self, e: BrauerExpr, rads: List[tw.Elem], pool: List[tw.Elem]):
+        self.rads, self.pool, self.p = rads, pool, e.p
+        self.nonzero = [i for i, a in enumerate(pool) if not a.is_zero()]
+        self.reps, self.prods, self.tags, self.open_at = [], [], {}, {}
+        self.exact = True
+        for s in e.entries:
+            trivial = _decided(tw.artin_schreier_preimage, s.a)  # a c: dropped
+            j = self._class(s.a) if trivial is None else trivial
+            if j is _UNKNOWN:
+                self.exact = False
+                return
+            if j is None:
+                self.reps.append(s.a)
+                self.prods.append(s.b)
+            elif isinstance(j, int):
+                self.prods[j] = tw.mul(self.prods[j], s.b)
+        self.open = frozenset(j for j in range(len(self.reps)) if self._is_open(j, ()))
+
+    def _class(self, a: tw.Elem):
+        """The index of a's class among e's, None for none, or _UNKNOWN."""
+        for j, rep in enumerate(self.reps):
+            found = _decided(_as_shift_between, a, rep)
+            if found is not None:
+                return found if found is _UNKNOWN else j
+        return None
+
+    def _tag(self, i: int):
+        if i not in self.tags:
+            self.tags[i] = self._class(self.pool[i])
+        return self.tags[i]
+
+    def _is_open(self, j: int, ks: Tuple[int, ...]) -> bool:
+        """Whether e's class j plus cand^op's radicands ks is surely open."""
+        if (j, ks) not in self.open_at:
+            prod = self.prods[j]
+            for k in ks:
+                prod = tw.mul(prod, tw.power(self.rads[k], self.p - 1))
+            self.open_at[j, ks] = _decided(tw.pth_root_in_level, prod) is None
+        return self.open_at[j, ks]
+
+    def choices(self, subset: Tuple[int, ...]):
+        """The kept choices of pool indices for the radicands ``subset``."""
+        if not self.exact:
+            return product(self.nonzero, repeat=len(subset))
+
+        def walk(prefix, uncovered, unknown):
+            left = len(subset) - len(prefix)
+            if len(uncovered) - unknown > left:
+                return
+            if left:
+                for i in self.nonzero:
+                    tag = self._tag(i)
+                    yield from walk(prefix + (i,), uncovered - {tag},
+                                    unknown + (tag is _UNKNOWN))
+            elif unknown or self._may_close(subset, prefix):
+                yield prefix
+        return walk((), self.open, 0)
+
+    def _may_close(self, subset, choice) -> bool:
+        joined = {}
+        for k, i in zip(subset, choice):
+            if self.tags[i] is not None:
+                joined.setdefault(self.tags[i], []).append(k)
+        return not any(self._is_open(j, tuple(ks)) for j, ks in joined.items())
 
 
 # ---------------------------------------------------------------------------

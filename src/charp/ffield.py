@@ -35,6 +35,7 @@ module.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property, lru_cache
 from typing import Iterator, Tuple
@@ -42,15 +43,17 @@ from typing import Iterator, Tuple
 FFElem = Tuple[int, ...]
 
 
+MAX_FIELD_SIZE = 1 << 32  # the largest GF(q) a text may name: 2^16 trial divisions
+
+
+def _least_factor(n: int) -> int:
+    """The least factor >= 2 of n >= 2, by trial division up to the square
+    root of n: n itself when n is prime."""
+    return next((k for k in range(2, math.isqrt(n) + 1) if n % k == 0), n)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 def _digits(code: int, p: int, d: int) -> list[int]:

@@ -192,12 +192,13 @@ def _as_preimage_or_none(a: Elem) -> Optional[Elem]:
 
 
 def _as_shift_between(x: Elem, y: Elem) -> Optional[Elem]:
-    """The c that ``artin_schreier_preimage`` gives for x - y, or None.
-    Memoized on the tower below the slots' level by the ordered pair of
+    """The c that ``artin_schreier_preimage`` gives for x - y, or None; it
+    raises ``NotImplementedError`` where the tower cannot tell.  Memoized
+    on the tower below the slots' level by the ordered pair of
     representations: the preimage of y - x may differ from -c by a constant
     of GF(p), so the pair is not sorted."""
     return tw._memo_on_prefix(
-        "as_shift", lambda u, v: _as_preimage_or_none(tw.sub(u, v)), x, y)
+        "as_shift", lambda u, v: tw.artin_schreier_preimage(tw.sub(u, v)), x, y)
 
 
 def _pth_root_or_none(b: Elem) -> Optional[Elem]:
@@ -320,7 +321,10 @@ def match_as_shifts(expr: BrauerExpr, recorder=None) -> BrauerExpr:
                 si, sj = cur.entries[i], cur.entries[j]
                 if si.a == sj.a:
                     continue
-                c = _as_shift_between(si.a, sj.a)
+                try:
+                    c = _as_shift_between(si.a, sj.a)
+                except NotImplementedError:
+                    c = None
                 if c is None:
                     continue
                 shifted = Symbol(tw.add(sj.a, tw.wp(c)), sj.b)

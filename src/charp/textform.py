@@ -15,12 +15,11 @@ normal forms; serialized artifacts round-trip byte for byte.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from typing import List, Optional, Tuple
 
-from .ffield import FFElem, FiniteField
+from .ffield import MAX_FIELD_SIZE, FFElem, FiniteField, _least_factor
 from .poly import Poly, PolyRing, RatFunc
 
 
@@ -451,17 +450,16 @@ def _parse_gf(head: str) -> Tuple[FiniteField, List[str]]:
     m = re.fullmatch(r"\s*GF\((\d+)\)\(([^)]*)\)\s*", head)
     if m is None:
         raise ParseError("expected GF(q)(vars)", 0)
-    q = int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_FIELD_SIZE)) or int(digits) > MAX_FIELD_SIZE:
+        raise ParseError("constant field size above %d" % MAX_FIELD_SIZE, 0)
+    q = int(digits)
     if q < 2:
         raise ParseError("constant field size must be a prime power", 0)
-    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
-    d = 0
-    qq = q
-    while qq > 1:
-        if qq % p:
-            raise ParseError("constant field size must be a prime power", 0)
-        qq //= p
-        d += 1
+    p = _least_factor(q)
+    d = next(k for k in range(1, q.bit_length() + 1) if p ** k >= q)
+    if p ** d != q:
+        raise ParseError("constant field size must be a prime power", 0)
     variables = [v.strip() for v in m.group(2).split(",") if v.strip()]
     if not variables:
         raise ParseError("at least one base variable is required", 0)

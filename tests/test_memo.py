@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from charp import oracle, symbols
+from charp import descent, oracle, symbols
 from charp import towers as tw
 from charp.bounds import Scenario
 from charp.certify import Certificate, CertStep, verify_certificate
@@ -127,8 +127,10 @@ def test_shift_test_is_memoized_per_prefix_and_ordered_pair(monkeypatch, x_text,
 
 
 def test_shift_matching_subtracts_each_ordered_pair_once(monkeypatch):
-    """The Albert run of criterion 8 tests the same pairs of a slots many
-    times; with cold memos it subtracts each ordered pair at most once."""
+    """An Albert run whose class needs a shift tests the same pairs of a
+    slots in the search's screen, in its reduction and again when the answer
+    is certified; with cold memos it subtracts each ordered pair at most
+    once."""
     monkeypatch.setattr(tw, "_TOWERS", {})  # fresh towers, empty memos
     pairs, subs, inside = [], [], []
     between, sub = symbols._as_shift_between, tw.sub
@@ -147,10 +149,11 @@ def test_shift_matching_subtracts_each_ordered_pair_once(monkeypatch):
         return sub(x, y)
 
     monkeypatch.setattr(symbols, "_as_shift_between", counting_between)
+    monkeypatch.setattr(descent, "_as_shift_between", counting_between)
     monkeypatch.setattr(tw, "sub", counting_sub)
     res = decompose(Scenario(2, "split_by_insep", n=2, attached={
         "tower": "GF(2)(t1,t2) ; ROOT r: r^2 = t1 ; ROOT u: u^2 = t2",
-        "expr": "[1/t2, t1)_2 * [1/t1, t2)_2",
+        "expr": "[1/t2+t1^2+t1, t1)_2 * [1/t1, t2)_2",
     }))
     assert res.case == "albert" and res.achieved <= res.report.value
     distinct = len(set(pairs))

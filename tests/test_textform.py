@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_elem
 from charp import towers as tw
-from charp.ffield import FiniteField
+from charp.ffield import MAX_FIELD_SIZE, FiniteField
 from charp.textform import (ParseError, format_elem, format_expr,
                             format_symbol, format_tower, parse_element,
                             parse_expr, parse_symbol, parse_tower)
@@ -174,6 +174,20 @@ def test_tower_field_size_is_factored_up_to_its_square_root():
     field = parse_tower("GF(1000000007)(t)").base_field
     assert time.perf_counter() - start < 0.5
     assert (field.p, field.d) == (1000000007, 1)
+
+
+@pytest.mark.parametrize("q", ["1" * 40, "9" * 5000, str(MAX_FIELD_SIZE + 1)])
+def test_tower_field_size_above_the_cap_fails_before_any_division(q):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_tower("GF(%s)(t)" % q)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == "constant field size above %d (at position 0)" % MAX_FIELD_SIZE
+
+
+def test_tower_reads_the_largest_prime_below_the_cap():
+    field = parse_tower("GF(0004294967291)(t)").base_field
+    assert (field.p, field.d) == (4294967291, 1) and 4294967291 < MAX_FIELD_SIZE
 
 
 def test_simple_step_power_above_the_budget_fails_before_building_it():
