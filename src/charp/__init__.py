@@ -12,7 +12,7 @@ from .certify import Certificate, CertBuilder, verify_certificate
 from .descent import (DescentError, InsepTower, SearchConfig, albert_decompose,
                       frobenius_push, insep_splitting_field, reduce_to_cyclic_step)
 from .bounds import BoundReport, Scenario, bound
-from .drivers import decompose, index_reduction_step
+from .drivers import decompose
 from .experiment import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
@@ -26,6 +26,5 @@ __all__ = [
     "CertBuilder", "verify_certificate", "DescentError", "InsepTower",
     "SearchConfig", "albert_decompose", "frobenius_push",
     "insep_splitting_field", "reduce_to_cyclic_step", "BoundReport",
-    "Scenario", "bound", "decompose", "index_reduction_step",
-    "ExperimentConfig", "run_experiment",
+    "Scenario", "bound", "decompose", "ExperimentConfig", "run_experiment",
 ]

@@ -28,8 +28,9 @@ from .drivers import DriverError, decompose
 from .experiment import ExperimentConfig, run_experiment
 from .ffield import FiniteField
 from .oracle import expr_invariants, is_split
-from .textform import (format_expr, format_invariant_vector, format_symbol,
-                       invariant_vector_json, parse_expr, parse_symbol, parse_tower)
+from .textform import (format_elem, format_expr, format_invariant_vector,
+                       format_symbol, invariant_vector_json, parse_expr,
+                       parse_symbol, parse_tower)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -77,7 +78,6 @@ def cmd_splits(args) -> int:
     if result.status == "split":
         detail = result.reason
         if result.witness is not None and result.witness_tower is not None:
-            from .textform import format_elem
             detail += "; witness %s" % format_elem(result.witness)
         print("split: %s" % detail)
         return EXIT_OK

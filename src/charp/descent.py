@@ -60,7 +60,7 @@ class InsepTower:
 
     Construction enforces that each radicand is a unit outside the p-th
     powers of the previously built level, which is exactly p-independence;
-    dependent radicands are rejected (add) or skipped (try_add)."""
+    dependent radicands are rejected (add) or skipped (try_add_all)."""
 
     def __init__(self, base_tower: tw.FieldTower, over_level: Optional[int] = None):
         self.over_level = base_tower.depth if over_level is None else over_level
@@ -85,12 +85,19 @@ class InsepTower:
         self.tower = tw.make_step(self.tower, "insep_root", gen, radicand)
         self.gens.append((gen, tw.rebind(radicand, self.tower)))
 
-    def try_add(self, radicand: tw.Elem, name: Optional[str] = None) -> bool:
-        try:
-            self.add(radicand, name)
-            return True
-        except tw.StepError:
-            return False
+    def try_add_all(self, radicands: Sequence[tw.Elem]) -> List[int]:
+        """Add each nonzero radicand in turn, skipping dependent ones; the
+        indices in ``gens`` of those added."""
+        added = []
+        for b in radicands:
+            if b.is_zero():
+                continue
+            try:
+                self.add(b)
+            except tw.StepError:
+                continue
+            added.append(len(self.gens) - 1)
+        return added
 
     def radicands(self) -> List[tw.Elem]:
         return [tw.rebind(b, self.tower) for _, b in self.gens]
@@ -98,14 +105,6 @@ class InsepTower:
     def __repr__(self) -> str:
         from .textform import format_tower
         return "InsepTower(%s)" % format_tower(self.tower)
-
-
-def build_insep_tower(base_tower: tw.FieldTower, radicands: Sequence[tw.Elem],
-                      over_level: Optional[int] = None) -> InsepTower:
-    out = InsepTower(base_tower, over_level)
-    for b in radicands:
-        out.add(b)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,6 @@ def frobenius_push(s: Symbol, down_level: int) -> Symbol:
     p = s.p
     return Symbol(tw.descend(tw.power(s.a, p), down_level),
                   tw.descend(tw.power(s.b, p), down_level))
-
-
-def frobenius_push_expr(e: BrauerExpr, down_level: int) -> BrauerExpr:
-    """Entrywise pushforward (the pushforward respects tensor products)."""
-    return BrauerExpr(e.tower, down_level,
-                      [frobenius_push(s, down_level) for s in e.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,9 @@ _UNKNOWN = "unknown"
 
 
 def _decided(test, *args):
-    """``test(*args)``, or ``_UNKNOWN`` where the tower cannot decide it."""
+    """``test(*args)``, or ``_UNKNOWN`` where the tower cannot decide it.
+    Kept apart from ``symbols._undecided_is_none``: the screen cuts only on
+    decided answers, so it must tell "unknown" apart from None."""
     try:
         return test(*args)
     except NotImplementedError:
@@ -383,12 +378,8 @@ def insep_splitting_field(C: Symbol, f_level: int = 0,
     re-verified; failure is reported, never silently accepted."""
     tower = C.tower
     level = C.level
-    coeffs = tw.min_poly(C.b, f_level)
     K = InsepTower(tower, f_level)
-    for c in coeffs[:-1]:
-        if c.is_zero():
-            continue
-        K.try_add(c)
+    K.try_add_all(tw.min_poly(C.b, f_level)[:-1])
     # verify over the compositum: stack the new roots on top of C's level
     comp = tw.truncate(tower, level)
     for name, b in K.gens:
@@ -483,16 +474,10 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
 
     # the witness generates the degree-p extension: adjoin p-th roots of its
     # minimal polynomial coefficients (independent, non-p-power ones only)
-    coeffs = tw.min_poly(z_prime, f_level)
     M = InsepTower(tower, f_level)
     for name, b in K.gens:
         M.add(tw.Elem(tower, K.over_level, b.rep), name)
-    added = []
-    for c in coeffs[1:-1]:
-        if c.is_zero():
-            continue
-        if M.try_add(tw.Elem(tower, f_level, c.rep)):
-            added.append(len(M.gens) - 1)
+    added = M.try_add_all(tw.min_poly(z_prime, f_level)[1:-1])
     dec = _albert_uncertified(A, M, cfg, check_split=True)[1]
     b_entries, bp_entries = [], []
     for s, slot in zip(dec.expr.entries, dec.slots):

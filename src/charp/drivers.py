@@ -17,16 +17,16 @@ through the verifier once, when it is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import towers as tw
 from .bounds import BoundReport, Scenario, bound
-from .descent import (CheckLabel, InsepTower, SearchConfig, albert_decompose,
-                      reduce_to_cyclic_step)
+from .descent import (CheckLabel, DecompositionResult, InsepTower, SearchConfig,
+                      albert_decompose, reduce_to_cyclic_step)
 from .oracle import backend_for, expr_invariants, expr_is_split
 from .symbols import BrauerExpr, Symbol
-from .textform import parse_expr, parse_symbol, parse_tower
+from .textform import format_expr, parse_expr, parse_symbol, parse_tower
 
 
 class DriverError(RuntimeError):
@@ -43,7 +43,6 @@ class DriveResult:
     case: str = ""
 
     def to_json(self) -> dict:
-        from .textform import format_expr
         return {
             "bound": self.report.to_json(),
             "expr": format_expr(self.expr),
@@ -86,7 +85,6 @@ def decompose(scenario: Scenario, cfg: SearchConfig = SearchConfig()) -> DriveRe
         raise AssertionError(
             "driver produced %d symbols, above the bound %d (rule %s)"
             % (achieved, report.value, report.rule))
-    from .descent import DecompositionResult
     report.decomposition = DecompositionResult(expr, cert, achieved, [], labels)
     return DriveResult(report, expr, cert, achieved, labels, case)
 
@@ -156,11 +154,7 @@ def _drive_cyclic_step(scenario: Scenario, cfg: SearchConfig):
     # splitting tower from the minimal polynomials of the radical slots
     K = InsepTower(tw.truncate(tower, f_level))
     for sym in lam.entries:
-        coeffs = tw.min_poly(sym.b, f_level)
-        for c in coeffs[:-1]:
-            if c.is_zero():
-                continue
-            K.try_add(c)
+        K.try_add_all(tw.min_poly(sym.b, f_level)[:-1])
     comp = tower
     for name, b in K.gens:
         comp = tw.make_step(comp, "insep_root", name,
@@ -216,35 +210,3 @@ def _cyclic_presentation(K: InsepTower, c0: tw.Elem,
         raise AssertionError("cyclic presentation failed its invariant round-trip")
     return cyclic
 
-
-@dataclass
-class IndexReduction:
-    l_degree: int
-    ind_before: int
-    ind_after: int
-    note: str
-
-
-def index_reduction_step(A: BrauerExpr, K: InsepTower,
-                         cfg: SearchConfig = SearchConfig()) -> IndexReduction:
-    """Separable reduction of the index over the tower, for p = 2 on the
-    univariate backend.
-
-    Over this backend a nonsplit class of exponent 2 has index exactly 2 and
-    any nontrivial exponent-one inseparable extension splits everything, so
-    the separable extension is always trivial; the function verifies the
-    hypotheses and reports the indices honestly."""
-    tower = K.tower
-    if tower.p != 2:
-        raise DriverError("index reduction is implemented for p = 2")
-    v = expr_invariants(A)
-    if v.is_zero():
-        raise DriverError("hypothesis requires nonsplit input")
-    vk = expr_invariants(A.rebind(tower).lift_to(K.top_level))
-    ind_k = 2 if not vk.is_zero() else 1
-    if ind_k == 1:
-        return IndexReduction(1, 2, 1,
-                              "class already splits over the tower; the "
-                              "trivial extension suffices")
-    return IndexReduction(1, 2, 2,
-                          "index over this backend is already at most 2")

@@ -107,9 +107,7 @@ def is_split(s: Symbol, strategy: str = "both", degree_bound: int = 4) -> SplitR
         if witness is not None:
             raise OracleDisagreement(
                 "norm witness found for a class with a nonzero local invariant")
-        place = vector.support()[0]
-        return SplitResult("nonsplit", reason="invariant %d/%d at %s" % (
-            vector.entries[place], vector.p, format_place(place)), vector=vector)
+        return _nonsplit(vector)
     if witness is not None:
         return SplitResult("split", witness=witness, witness_tower=witness.tower,
                            reason="norm witness", vector=vector,
@@ -139,6 +137,11 @@ def expr_is_split(expr: BrauerExpr, strategy: str = "auto",
                            searched_bound=degree_bound)
     if vector.is_zero():
         return SplitResult("split", reason="all local invariants vanish", vector=vector)
+    return _nonsplit(vector)
+
+
+def _nonsplit(vector: InvariantVector) -> SplitResult:
+    """The nonsplit answer for a nonzero vector, named by its first place."""
     place = vector.support()[0]
     return SplitResult("nonsplit", reason="invariant %d/%d at %s" % (
         vector.entries[place], vector.p, format_place(place)), vector=vector)

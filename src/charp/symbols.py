@@ -169,11 +169,11 @@ def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
             power_shift = tw.div(tw.int_elem(tower, level, 1), w)
             b = b_red
     else:
-        c = _as_preimage_or_none(a)
+        c = _undecided_is_none(tw.artin_schreier_preimage, a)
         if c is not None and not c.is_zero():
             as_shift = tw.neg(c)
             a = tw.sub(a, tw.wp(c))
-        root = _pth_root_or_none(b)
+        root = _undecided_is_none(tw.pth_root_in_level, b)
         if root is not None:
             power_shift = tw.div(tw.int_elem(tower, level, 1), root)
             b = tw.int_elem(tower, level, 1)
@@ -184,9 +184,12 @@ def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
     return NormalizeOutcome(Symbol(a, b), as_shift, power_shift)
 
 
-def _as_preimage_or_none(a: Elem) -> Optional[Elem]:
+def _undecided_is_none(test, *args):
+    """``test(*args)``, or None where the tower cannot decide it: here an
+    undecided test means "no".  ``test`` is passed at each call, so a
+    patched ``towers`` function is the one called."""
     try:
-        return tw.artin_schreier_preimage(a)
+        return test(*args)
     except NotImplementedError:
         return None
 
@@ -199,13 +202,6 @@ def _as_shift_between(x: Elem, y: Elem) -> Optional[Elem]:
     of GF(p), so the pair is not sorted."""
     return tw._memo_on_prefix(
         "as_shift", lambda u, v: tw.artin_schreier_preimage(tw.sub(u, v)), x, y)
-
-
-def _pth_root_or_none(b: Elem) -> Optional[Elem]:
-    try:
-        return tw.pth_root_in_level(b)
-    except NotImplementedError:
-        return None
 
 
 def _reduce_radical_univariate(b: Elem) -> Tuple[Elem, Elem]:
@@ -321,10 +317,7 @@ def match_as_shifts(expr: BrauerExpr, recorder=None) -> BrauerExpr:
                 si, sj = cur.entries[i], cur.entries[j]
                 if si.a == sj.a:
                     continue
-                try:
-                    c = _as_shift_between(si.a, sj.a)
-                except NotImplementedError:
-                    c = None
+                c = _undecided_is_none(_as_shift_between, si.a, sj.a)
                 if c is None:
                     continue
                 shifted = Symbol(tw.add(sj.a, tw.wp(c)), sj.b)
@@ -385,8 +378,7 @@ def norm_witness(s: Symbol, degree_bound: int) -> Optional[Elem]:
                          _norm_search_bound(s.tower, degree_bound))
 
 
-def reduce_expr(expr: BrauerExpr, recorder=None, norm_bound: int = 0,
-                match_shifts: bool = True) -> BrauerExpr:
+def reduce_expr(expr: BrauerExpr, recorder=None, norm_bound: int = 0) -> BrauerExpr:
     """Fixpoint of entry normalization, same-a merging, shift matching and
     (optionally, for norm_bound > 0) bounded norm-witness drops.  The length
     of the result is the certified upper bound this package reports."""
@@ -394,8 +386,7 @@ def reduce_expr(expr: BrauerExpr, recorder=None, norm_bound: int = 0,
     while True:
         before = cur.entries
         cur = merge_same_a(cur, recorder)
-        if match_shifts:
-            cur = match_as_shifts(cur, recorder)
+        cur = match_as_shifts(cur, recorder)
         if norm_bound > 0:
             cur = drop_norm_split_entries(cur, norm_bound, recorder)
         if cur.entries == before:

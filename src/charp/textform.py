@@ -341,7 +341,7 @@ class ElementParser:
         base = self._atom(cur)
         if cur.accept("op", "^"):
             pos = cur.pos
-            n = int(cur.expect("int")[1])
+            n = _int_token(*cur.expect("int")[1:])
             if isinstance(base, Poly):
                 degree = base.total_degree()
             else:  # at least 1: a generator's coordinates are constants, its powers are not
@@ -361,7 +361,7 @@ class ElementParser:
             raise ParseError("unexpected end of input", cur.pos)
         if tok[0] == "int":
             cur.next()
-            return self.tower.ring.from_int(int(tok[1]))
+            return self.tower.ring.from_int(_int_token(*tok[1:]))
         if tok[0] == "name":
             cur.next()
             el = self.names.get(tok[1])
@@ -369,6 +369,17 @@ class ElementParser:
                 raise ParseError("unknown variable %r" % tok[1], cur.pos)
             return el
         raise ParseError("expected a value", cur.pos)
+
+
+def _int_token(digits: str, end: int) -> int:
+    """The value of the digit run ``digits`` that ends at ``end``: a
+    ``ParseError`` at its first digit when it has more digits than Python
+    converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer of %d digits is too long" % len(digits),
+                         end - len(digits)) from None
 
 
 def _check_power_budget(degree: int, pos: int) -> None:
@@ -399,7 +410,7 @@ def parse_symbol_cursor(cur: _Cursor, parser: ElementParser, p: int):
         raise ParseError("expected _p after a symbol", pos)
     cur.pos += 1
     tok = cur.expect("int")
-    if int(tok[1]) != p:
+    if _int_token(*tok[1:]) != p:
         raise ParseError("symbol prime %s does not match the field" % tok[1], pos)
     is_op = False
     if cur.accept("op", "^"):
@@ -532,7 +543,7 @@ def _parse_simple_lhs(lhs: str, offset: int, gen: str, tower) -> list:
         piece = piece.strip()
         m = term_re.fullmatch(piece)
         if m is not None:
-            e = int(m.group("exp") or 1)
+            e = _int_token(m.group("exp"), at + m.end("exp")) if m.group("exp") else 1
             _check_power_budget(e, at + m.start("exp"))
             c_text, c_at = m.group("coeff") or "1", at + max(m.start("coeff"), 0)
         else:

@@ -152,6 +152,12 @@ def test_field_size_below_two_is_an_error_not_a_traceback(tower):
     assert "Traceback" not in proc.stderr
 
 
+def test_integer_above_the_digit_limit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "splits", "--tower", "GF(2)(t)", "[%s, t)_2" % ("1" * 5000))
+    assert code == 1 and out == ""
+    assert err == "error: integer of 5000 digits is too long (at position 1)\n"
+
+
 def test_help_documents_grammar(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -235,20 +241,3 @@ def test_verify_reports_arithmetic_failure_as_malformed(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out.startswith("malformed at step 0: ")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", [
-    ["invariants", "--expr", "[1/(j+t1+t2), t1)_2"],
-    ["splits", "--strategy", "invariants", "[1/(j+t1+t2), t1)_2"],
-])
-def test_arithmetic_failure_is_an_error_not_a_traceback(command):
-    # the zero divisor of the certificate test above, met while parsing the
-    # symbol
-    proc = _run_subprocess(
-        command[0], "--tower",
-        "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0",
-        "--level", "1", *command[1:])
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: step relation is reducible; tower arithmetic is inconsistent"]
-    assert "Traceback" not in proc.stderr

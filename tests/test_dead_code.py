@@ -10,8 +10,10 @@ language calls them.
 
 A private name (one leading underscore) is no API: when only tests or the
 benchmark name it, it is dead code that the package keeps for them.  Such a
-name fails unless ``TEST_ONLY_PRIVATE`` lists it with the reason.  Public
-names may be reached from outside alone: they are the library's API.
+name fails unless ``TEST_ONLY_PRIVATE`` lists it with the reason.  A public
+name that the package names nowhere but in the exports of ``__init__`` is
+API that only tests or the benchmark reach; it fails unless
+``TEST_ONLY_PUBLIC`` lists it with the reason it is kept.
 """
 
 from __future__ import annotations
@@ -32,6 +34,20 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # benchmark name it
 TEST_ONLY_PRIVATE: dict = {}
 
+# public name -> why the package keeps it although nothing in it calls it
+TEST_ONLY_PUBLIC = {
+    "local_invariant": "the per-place reference that the residue oracle "
+                       "test compares the support-wide computation against",
+    "rule_value": "the calculator's per-rule value, behind the acceptance "
+                  "criteria's constants",
+    "chain_iteration_bound": "the chain-iteration identity of the "
+                             "acceptance criteria",
+    "index_exponent": "documented API: the index-exponent relation of an "
+                      "invariant vector",
+    "insep_splitting_field": "documented API: the inseparable splitting "
+                             "tower of one cyclic symbol",
+}
+
 
 def _definitions():
     """(module, qualified name, bare name, line number) for every class and
@@ -49,12 +65,14 @@ def _definitions():
                 stack.extend((child, prefix + node.name + ".") for child in node.body)
 
 
-def _word_counts(roots=SEARCHED):
+def _word_counts(roots=SEARCHED, skip=()):
     """Occurrences of each identifier-like word in the code and strings of
-    the given trees."""
+    the given trees, but for the files ``skip``."""
     counts: Counter = Counter()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
+            if path in skip:
+                continue
             tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
             for tok in tokens:
                 if tok.type in (tokenize.NAME, tokenize.STRING):
@@ -84,3 +102,16 @@ def test_private_definitions_are_named_in_the_package():
     assert not outside_only, ("private, but named only outside src/charp:\n"
                               + "\n".join(outside_only))
     assert set(TEST_ONLY_PRIVATE) <= set(defined), "allowlisted names that are gone"
+
+
+def test_public_definitions_are_named_in_the_package():
+    definitions = list(_definitions())
+    defined = Counter(name for _, _, name, _ in definitions)
+    counts = _word_counts((PACKAGE,), skip=(PACKAGE / "__init__.py",))
+    outside_only = ["%s:%d %s" % (path.relative_to(ROOT), lineno, qualname)
+                    for path, qualname, name, lineno in definitions
+                    if not name.startswith("_")
+                    and counts[name] == defined[name] and name not in TEST_ONLY_PUBLIC]
+    assert not outside_only, ("public, but named in src/charp only by its "
+                              "definition or the exports:\n" + "\n".join(outside_only))
+    assert set(TEST_ONLY_PUBLIC) <= set(defined), "allowlisted names that are gone"

@@ -7,8 +7,7 @@ from charp import towers as tw
 from charp.certify import verify_certificate
 from charp.descent import (DescentError, InsepTower, SearchConfig,
                            SplitHypothesisError, albert_decompose,
-                           build_insep_tower, frobenius_push,
-                           frobenius_push_expr, insep_splitting_field,
+                           frobenius_push, insep_splitting_field,
                            reduce_to_cyclic_step)
 from charp.ffield import FiniteField
 from charp.oracle import expr_invariants, is_split, realize
@@ -54,25 +53,10 @@ def test_push_of_scalar_extension_is_trivial(f2t):
         assert v.is_zero()
 
 
-def test_push_distributes_over_tensor(f2t):
-    rng = random.Random(42)
-    K = make_K(f2t)
-    for _ in range(10):
-        syms = []
-        for _ in range(2):
-            a = tw.lift(tw.rebind(rand_elem(rng, f2t, 1), K.tower), 1)
-            b = tw.lift(tw.rebind(rand_elem(rng, f2t, 1, nonzero=True), K.tower), 1)
-            syms.append(Symbol(a, b))
-        e = BrauerExpr(K.tower, 1, syms)
-        together = frobenius_push_expr(e, 0)
-        onebyone = [frobenius_push(s, 0) for s in syms]
-        assert list(together.entries) == onebyone
-
-
 def test_insep_tower_p_independence_error(f2t):
+    K = make_K(f2t)
     with pytest.raises(tw.StepError):
-        build_insep_tower(f2t, [tw.var_elem(f2t, "t"),
-                                parse_element("t+1", f2t)])
+        K.add(parse_element("t+1", f2t))
 
 
 def test_albert_decompose_univariate(f2t):

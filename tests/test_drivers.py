@@ -2,12 +2,10 @@ import sys
 
 import pytest
 
-from charp import certify, drivers, towers as tw
+from charp import certify, drivers
 from charp.bounds import Scenario
 from charp.certify import verify_certificate
-from charp.descent import InsepTower, SearchConfig
-from charp.drivers import (DriverError, IndexReduction, decompose,
-                           index_reduction_step)
+from charp.drivers import DriverError, decompose
 from charp.experiment import ExperimentConfig, run_experiment
 from charp.oracle import expr_invariants
 from charp.symbols import BrauerExpr
@@ -125,39 +123,6 @@ def test_driver_requires_attached_data():
     with pytest.raises(DriverError):
         decompose(Scenario(2, "index", n=2, attached={"tower": "GF(2)(t)",
                                                       "expr": "[1, t)_2"}))
-
-
-def make_K(tower_text="GF(2)(t) ; ROOT r: r^2 = t"):
-    T = parse_tower(tower_text)
-    K = InsepTower(tw.truncate(T, 0))
-    for lvl in range(1, T.depth + 1):
-        K.add(tw.descend(tw.step_defining_elem(T, lvl), 0), T.steps[lvl - 1].gen)
-    return K
-
-
-def test_index_reduction_trivial_case():
-    K = make_K()
-    A = parse_expr("[1, t)_2", K.tower)
-    out = index_reduction_step(A, K)
-    assert isinstance(out, IndexReduction)
-    assert out.l_degree == 1 and out.ind_after <= 2
-    assert out.ind_before == 2
-
-
-def test_index_reduction_requires_nonsplit():
-    K = make_K()
-    A = parse_expr("[1/t, t)_2", K.tower)  # split class
-    with pytest.raises(DriverError):
-        index_reduction_step(A, K)
-
-
-def test_index_reduction_reports_tower_split():
-    K = make_K()
-    A = parse_expr("[1, t)_2", K.tower)
-    out = index_reduction_step(A, K)
-    # any nontrivial exponent-one extension of this backend splits the class
-    assert out.ind_after == 1
-    assert "splits over the tower" in out.note
 
 
 def test_albert_driver_multivariate_degree_p_squared():

@@ -205,6 +205,27 @@ def test_simple_step_within_the_budget_keeps_its_degree_error(e):
         parse_tower("GF(2)(t) ; EXT j: j^%d+(t)*j+(t) = 0" % e)
 
 
+LONG_DIGITS = "1" * 5000  # above Python's limit for int() on a string
+
+
+@pytest.mark.parametrize("tower, parse, text, pos", [
+    ("GF(2)(t)", parse_element, LONG_DIGITS + "*t", 0),
+    ("GF(2)(t)", parse_element, "t^ " + LONG_DIGITS, 3),
+    ("GF(2)(t)", parse_symbol, "[1, t)_" + LONG_DIGITS, 7),
+    (None, parse_tower, "GF(2)(t) ; EXT j: j^" + LONG_DIGITS + "+(t)*j+(t) = 0", 20),
+], ids=["literal", "exponent", "symbol-prime", "simple-step-exponent"])
+def test_integer_tokens_above_the_digit_limit_fail_at_their_position(tower, parse, text, pos):
+    args = () if tower is None else (parse_tower(tower),)
+    with pytest.raises(ParseError) as err:
+        parse(text, *args)
+    assert str(err.value) == "integer of 5000 digits is too long (at position %d)" % pos
+
+
+def test_integer_literal_at_the_digit_limit_parses(f3t):
+    # 10^4299 + ... + 1 has digit sum 4300 = 1 mod 3, so it reads as 1
+    assert parse_element("1" * 4300, f3t) == parse_element("1", f3t)
+
+
 def test_tower_reserves_g_over_extended_constants():
     with pytest.raises(ParseError, match="'g'"):
         parse_tower("GF(4)(g)")
