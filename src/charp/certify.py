@@ -283,7 +283,11 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
                     "witness norm does not equal the radical slot")
     elif kind == "FrobeniusPush":
         _expect(after.level < before.level, "push must lower the level")
-        _check_insep_chain(tower, after.level, before.level)
+        from .descent import DescentError, check_exponent_one
+        try:
+            check_exponent_one(tower, after.level, before.level)
+        except DescentError as err:
+            raise _Rejected(str(err)) from None
         _expect(len(after.entries) == len(before.entries), "entry count changed")
         p = tower.p
         for s, t in zip(before.entries, after.entries):
@@ -315,11 +319,3 @@ def _replay(tower, step: CertStep, before: BrauerExpr, after: BrauerExpr) -> Non
     else:
         raise _Malformed("unknown step kind %r" % kind)
 
-
-def _check_insep_chain(tower, low: int, high: int) -> None:
-    for lvl in range(low + 1, high + 1):
-        step = tower.step_at(lvl)
-        _expect(step.kind == "insep_root", "push crosses a non-inseparable step")
-        data = tw.step_defining_elem(tower, lvl)
-        _expect(tw.level_of_definition(data) <= low,
-                "push crosses a step defined above the target level")

@@ -189,17 +189,17 @@ class DecompositionResult:
         }
 
 
-def albert_decompose(e: BrauerExpr, K: InsepTower, cfg: SearchConfig = SearchConfig(),
-                     check_split: bool = True) -> DecompositionResult:
+def albert_decompose(e: BrauerExpr, K: InsepTower,
+                     cfg: SearchConfig = SearchConfig()) -> DecompositionResult:
     """Decompose a class split by K into symbols with the tower's radicands
     in the radical slots; at most one symbol per radicand."""
-    e, dec = _albert_uncertified(e, K, cfg, check_split)
+    e, dec = _albert_uncertified(e, K, cfg)
     dec.certificate = certify_equivalence(e, dec.expr, cfg)
     return dec
 
 
-def _albert_uncertified(e: BrauerExpr, K: InsepTower, cfg: SearchConfig,
-                        check_split: bool) -> Tuple[BrauerExpr, DecompositionResult]:
+def _albert_uncertified(e: BrauerExpr, K: InsepTower,
+                        cfg: SearchConfig) -> Tuple[BrauerExpr, DecompositionResult]:
     """``albert_decompose`` with no certificate yet (None), and e over K's
     tower: for callers that certify a larger answer themselves."""
     tower = K.tower
@@ -208,18 +208,16 @@ def _albert_uncertified(e: BrauerExpr, K: InsepTower, cfg: SearchConfig,
         raise LevelMismatch("the class must live at the level below the tower")
     e = e.rebind(tower)
     labels: List[CheckLabel] = []
-    if check_split:
-        lifted = e.lift_to(K.top_level)
-        verdict = expr_is_split(lifted, strategy="auto",
-                                degree_bound=cfg.elementary_norm_bound)
-        if verdict.status == "nonsplit":
-            raise SplitHypothesisError("the class is not split by the tower: %s"
-                                       % verdict.reason)
-        if verdict.status == "unknown":
-            raise SplitHypothesisError("split hypothesis not established: %s"
-                                       % verdict.reason)
-        labels.append(CheckLabel("input class is split by the inseparable tower",
-                                 "oracle" if verdict.vector is not None else "witness"))
+    verdict = expr_is_split(e.lift_to(K.top_level), strategy="auto",
+                            degree_bound=cfg.elementary_norm_bound)
+    if verdict.status == "nonsplit":
+        raise SplitHypothesisError("the class is not split by the tower: %s"
+                                   % verdict.reason)
+    if verdict.status == "unknown":
+        raise SplitHypothesisError("split hypothesis not established: %s"
+                                   % verdict.reason)
+    labels.append(CheckLabel("input class is split by the inseparable tower",
+                             "oracle" if verdict.vector is not None else "witness"))
     try:
         v = expr_invariants(e)
         backend = True
@@ -438,7 +436,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
 
     verdict = is_split(cyclic, strategy="auto", degree_bound=cfg.elementary_norm_bound)
     if verdict.is_split:
-        dec = albert_decompose(A, K, cfg, check_split=True)
+        dec = albert_decompose(A, K, cfg)
         empty = BrauerExpr(tower, f_level, [])
         return ReduceOutcome(dec.expr, empty, dec.certificate, "already-split",
                              labels + dec.labels)
@@ -464,7 +462,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     if in_f:
         b_prime = Symbol(tw.rebind(x_p, tower), tw.rebind(z_f, tower))
         bp_expr = BrauerExpr(tower, f_level, [b_prime])
-        dec = _albert_uncertified(A.tensor(bp_expr.op()), K, cfg, check_split=True)[1]
+        dec = _albert_uncertified(A.tensor(bp_expr.op()), K, cfg)[1]
         result = dec.expr.tensor(bp_expr)
         if result.length() > n + p - 1:
             raise AssertionError("decomposition exceeded the n + p - 1 bound")
@@ -478,7 +476,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     for name, b in K.gens:
         M.add(tw.Elem(tower, K.over_level, b.rep), name)
     added = M.try_add_all(tw.min_poly(z_prime, f_level)[1:-1])
-    dec = _albert_uncertified(A, M, cfg, check_split=True)[1]
+    dec = _albert_uncertified(A, M, cfg)[1]
     b_entries, bp_entries = [], []
     for s, slot in zip(dec.expr.entries, dec.slots):
         if slot is not None and slot in added:

@@ -411,7 +411,9 @@ def parse_symbol_cursor(cur: _Cursor, parser: ElementParser, p: int):
     cur.pos += 1
     tok = cur.expect("int")
     if _int_token(*tok[1:]) != p:
-        raise ParseError("symbol prime %s does not match the field" % tok[1], pos)
+        n = len(tok[1])
+        shown = tok[1] if n <= len(str(MAX_FIELD_SIZE)) else "of %d digits" % n
+        raise ParseError("symbol prime %s does not match the field" % shown, pos)
     is_op = False
     if cur.accept("op", "^"):
         name = cur.expect("name")

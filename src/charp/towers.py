@@ -415,7 +415,7 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         try:
             hit = artin_schreier_preimage(a)
         except NotImplementedError:
-            # no exact test for this tower shape: bounded candidate search
+            # a simple step at or below: bounded candidate search
             hit = _as_degenerate_bounded(tower, a)
         if hit is not None:
             raise StepError(
@@ -428,7 +428,11 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         b = lift(b, tower.depth)
         if b.is_zero():
             raise StepError("degenerate step: radicand is zero")
-        root = pth_root_in_level(b)
+        try:
+            root = pth_root_in_level(b)
+        except NotImplementedError as exc:
+            raise StepError(
+                "cannot decide whether the radicand is a p-th power: %s" % exc) from None
         if root is not None:
             raise StepError(
                 "degenerate step: radicand is the %d-th power of %r" % (p, root))
@@ -455,8 +459,9 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
 
 
 def _as_degenerate_bounded(tower: FieldTower, a: Elem) -> Optional[Elem]:
-    """Bounded-search degeneracy probe for levels without an exact test:
-    catches w of small height, never proves nondegeneracy."""
+    """Bounded-search degeneracy probe, only for levels with a simple step at
+    or below them (no exact test): catches w of small height, never proves
+    nondegeneracy."""
     level = a.level
     for rep in _pool_candidates(tower, level):
         cand = Elem(tower, level, rep)
@@ -576,9 +581,8 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
         if root0 is None:
             return None
         return lift(root0, level)
-    steps = tower.steps[:level]
-    if all(s.kind == "insep_root" for s in steps):
-        radicands = _base_radicands(tower, level)
+    radicands = _base_radicands(tower, level)
+    if radicands is not None:
         try:
             x0 = descend(x, 0)
         except ValueError:
@@ -598,14 +602,16 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
     return rz.backward(root)
 
 
-def _base_radicands(tower: FieldTower, level: int) -> List[RatFunc]:
+def _base_radicands(tower: FieldTower, level: int) -> Optional[List[RatFunc]]:
     """The radicands of an inseparable-root chain up to ``level``, as base
-    fractions; raises when one lives above the base."""
+    fractions; None when a step is of another kind or a radicand lives
+    above the base."""
     radicands = []
     for k in range(1, level + 1):
-        r = step_defining_elem(tower, k)
-        if level_of_definition(r) != 0:
-            raise NotImplementedError("inseparable radicand above the base field")
+        step = tower.step_at(k)
+        r = Elem(tower, k - 1, step.data)
+        if step.kind != "insep_root" or level_of_definition(r):
+            return None
         radicands.append(descend(r, 0).rep)
     return radicands
 
@@ -660,51 +666,49 @@ def artin_schreier_preimage(a: Elem) -> Optional[Elem]:
     """Some c at the level of a with c^p - c = a, or None.  Memoized.
 
     Base level: pole-order reduction at every place (univariate) or an exact
-    semilinear solve (multivariate).  Inseparable-root chains reduce to the
-    base by matching generator coordinates; other tower shapes go through
-    the rational presentation when one exists.
+    semilinear solve (multivariate).  Above it, one coordinate of c at a
+    time over the level below, through root and Artin-Schreier steps alike;
+    a level with a simple step at or below it raises.
     """
     return _memo_on_prefix("as_preimage", _as_preimage_uncached, a)
 
 
 def _as_preimage_uncached(a: Elem) -> Optional[Elem]:
+    # Over the level below, c = sum_k c_k g^k has c^p = sum_k c_k^p (g^p)^k;
+    # (g^p)^k = (g + b)^k has coordinates C(k,j) b^(k-j), j <= k, for a step
+    # g^p - g = b, and (g^p)^k = b^k sits in coordinate 0 for g^p = b.  So
+    # coordinate j of c^p - c = a, solved from j = p-1 down, is the equation
+    # c_j^p - c_j = a_j - (sum_{k>j} c_k g^k)^p_j one level down where that
+    # diagonal entry is 1 (Artin-Schreier step, or j = 0), else c_j = -a_j.
+    # The GF(p) translates of c_j are tried in order while a lower one uses them.
     tower, level = a.tower, a.level
     if level == 0:
         return _as_preimage_base(a)
-    steps = tower.steps[:level]
-    if all(s.kind == "insep_root" for s in steps):
-        return _as_preimage_insep(a)
-    from .rationalize import rationalize_level
-    rz = rationalize_level(tower, level)
-    if rz is None:
-        raise NotImplementedError(
-            "Artin-Schreier membership unsupported for this tower shape")
-    pre = _as_preimage_base(Elem(rz.tower, 0, rz.forward(a)))
-    if pre is None:
-        return None
-    return rz.backward(pre.rep)
+    kind = tower.step_at(level).kind
+    if kind == "simple":
+        raise NotImplementedError("Artin-Schreier membership over a simple step")
+    ops, low, p = _ops(tower, level), _ops(tower, level - 1), tower.p
 
-
-def _as_preimage_insep(a: Elem) -> Optional[Elem]:
-    # in c = sum c_e g^e the coordinates at e != 0 are forced (c^p lands in
-    # the base), leaving a base-level equation for the e = 0 coordinate
-    tower, level = a.tower, a.level
-    p = tower.p
-    radicands = _base_radicands(tower, level)
-    coords = _coordinates(a, 0)
-    forced = {ev: -c for ev, c in coords.items() if any(ev) and not c.is_zero()}
-    shift = RatFunc.zero(tower.ring)
-    for ev, lam in forced.items():
-        prod = lam ** p
-        for b, e in zip(radicands, ev):
-            if e:
-                prod = prod * (b ** e)
-        shift = shift + prod
-    c0 = _as_preimage_base(Elem(tower, 0, coords[(0,) * level] - shift))
-    if c0 is None:
+    def solve(j, c):
+        # c: the coordinates above j chosen, those at and below j zero
+        rhs = low.sub(a.rep[j], ops.pow(c, p)[j])
+        if kind == "insep_root" and j > 0:
+            choices = [low.neg(rhs)]
+        else:
+            pre = artin_schreier_preimage(Elem(tower, level - 1, rhs))
+            if pre is None:
+                return None
+            lams = range(p) if kind == "artin_schreier" and j > 0 else [0]
+            choices = [low.add(pre.rep, low.from_int(lam)) for lam in lams]
+        for cj in choices:
+            out = c[:j] + (cj,) + c[j + 1:]
+            out = out if j == 0 else solve(j - 1, out)
+            if out is not None:
+                return out
         return None
-    forced[(0,) * level] = c0.rep
-    return _from_coordinates(tower, level, forced)
+
+    out = solve(p - 1, ops.zero)
+    return None if out is None else Elem(tower, level, out)
 
 
 def _as_preimage_base(a: Elem) -> Optional[Elem]:
