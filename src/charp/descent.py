@@ -334,7 +334,7 @@ class _ClassScreen:
             prod = self.prods[j]
             for k in ks:
                 prod = tw.mul(prod, tw.power(self.rads[k], self.p - 1))
-            self.open_at[j, ks] = _decided(tw.pth_root_in_level, prod) is None
+            self.open_at[j, ks] = tw.pth_root_in_level(prod) is None
         return self.open_at[j, ks]
 
     def choices(self, subset: Tuple[int, ...]):

@@ -84,7 +84,7 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in self.rows:
             writer.writerow(row.as_list())

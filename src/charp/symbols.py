@@ -173,7 +173,7 @@ def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
         if c is not None and not c.is_zero():
             as_shift = tw.neg(c)
             a = tw.sub(a, tw.wp(c))
-        root = _undecided_is_none(tw.pth_root_in_level, b)
+        root = tw.pth_root_in_level(b)
         if root is not None:
             power_shift = tw.div(tw.int_elem(tower, level, 1), root)
             b = tw.int_elem(tower, level, 1)

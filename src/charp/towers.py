@@ -428,11 +428,7 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         b = lift(b, tower.depth)
         if b.is_zero():
             raise StepError("degenerate step: radicand is zero")
-        try:
-            root = pth_root_in_level(b)
-        except NotImplementedError as exc:
-            raise StepError(
-                "cannot decide whether the radicand is a p-th power: %s" % exc) from None
+        root = pth_root_in_level(b)
         if root is not None:
             raise StepError(
                 "degenerate step: radicand is the %d-th power of %r" % (p, root))
@@ -556,80 +552,54 @@ def _memo_on_prefix(name: str, compute, *xs: Elem) -> Optional[Elem]:
 def pth_root_in_level(x: Elem) -> Optional[Elem]:
     """A y at the same level with y^p = x, or None.  Memoized.
 
-    Separable steps above both the element and the topmost inseparable step
-    are stripped first (they do not create new p-th powers of lower
-    elements).  What remains is exact at the base (exponent inspection),
-    over inseparable-root chains with base-level radicands (linear algebra
-    over the base), and over levels with a rational presentation; other
-    tower shapes raise.
+    Exact on every tower: y's coordinates over the base field solve one
+    linear system whose columns are the p-th powers of the generator
+    monomials, read in the p-basis of the base field.
     """
     return _memo_on_prefix("pth_root", _pth_root_uncached, x)
 
 
 def _pth_root_uncached(x: Elem) -> Optional[Elem]:
-    tower, level = x.tower, x.level
-    if level == 0:
-        root = x.rep.pth_root()
-        return None if root is None else Elem(tower, 0, root)
-    last_insep = 0
-    for k in range(1, level + 1):
-        if tower.steps[k - 1].kind == "insep_root":
-            last_insep = k
-    target = max(last_insep, level_of_definition(x))
-    if target < level:
-        root0 = pth_root_in_level(descend(x, target))
-        if root0 is None:
-            return None
-        return lift(root0, level)
-    radicands = _base_radicands(tower, level)
-    if radicands is not None:
-        try:
-            x0 = descend(x, 0)
-        except ValueError:
-            return None  # proper top-generator coordinates: the p-th powers lie below
-        coords = _pth_span_coordinates(tower, x0.rep, radicands)
-        if coords is None:
-            return None
-        return _from_coordinates(tower, level, coords)
-    from .rationalize import rationalize_level
-    rz = rationalize_level(tower, level)
-    if rz is None:
-        raise NotImplementedError("p-th power membership for this tower shape")
-    image = rz.forward(x)
-    root = image.pth_root()
-    if root is None:
+    # Over the base F, y = sum_e y_e g^e has y^p = sum_e y_e^p (g^e)^p.  In
+    # the p-basis of F over F^p each base coordinate reads c = sum_r c_r^p t^r,
+    # so y^p = x is F-linear in the y_e: sum_e y_e ((g^e)^p)_(f,r) = x_(f,r).
+    # Frobenius is injective, so a solution is the root.  Separable steps
+    # create no new p-th powers, so the system is set up at the lowest level
+    # that carries x and lies above every inseparable step.
+    tower = x.tower
+    level = max([level_of_definition(x)]
+                + [k for k in range(1, x.level + 1) if _inseparable(tower, k)])
+    exps, columns = _frobenius_columns(truncate(tower, level))
+    sol = _solve_columns(_ops(tower, 0), columns, _p_coordinates(descend(x, level)))
+    if sol is None:
         return None
-    return rz.backward(root)
+    return lift(_from_coordinates(tower, level, dict(zip(exps, sol))), x.level)
 
 
-def _base_radicands(tower: FieldTower, level: int) -> Optional[List[RatFunc]]:
-    """The radicands of an inseparable-root chain up to ``level``, as base
-    fractions; None when a step is of another kind or a radicand lives
-    above the base."""
-    radicands = []
-    for k in range(1, level + 1):
-        step = tower.step_at(k)
-        r = Elem(tower, k - 1, step.data)
-        if step.kind != "insep_root" or level_of_definition(r):
-            return None
-        radicands.append(descend(r, 0).rep)
-    return radicands
+def _inseparable(tower: FieldTower, level: int) -> bool:
+    """Whether the step at ``level`` has a defining polynomial in g^p: a
+    root step, or a simple step such as g^2 + t."""
+    ops = _ops(tower, level)
+    return all(ops._lower.is_zero(c)
+               for e, c in enumerate(ops.minpoly_lower()) if e % tower.p)
 
 
-def _pth_span_coordinates(tower: FieldTower, x: RatFunc, radicands: List[RatFunc]):
-    """Coordinates {e: c_e} of x in the F^p-span of products
-    b_1^{e_1}...b_k^{e_k} (exponents < p), or None.  After rewriting
-    everything in p-basis coordinates the system is linear over F itself."""
-    exps = list(_iproduct(range(tower.p), repeat=len(radicands)))
-    columns = []
-    for ev in exps:
-        prod = RatFunc.one(tower.ring)
-        for b, e in zip(radicands, ev):
-            if e:
-                prod = prod * (RatFunc.from_poly(b.num) ** e) / (RatFunc.from_poly(b.den) ** e)
-        columns.append(_p_basis_coordinates(prod))
-    sol = _solve_columns(_ops(tower, 0), columns, _p_basis_coordinates(x))
-    return None if sol is None else dict(zip(exps, sol))
+def _frobenius_columns(tower: FieldTower) -> Tuple[list, list]:
+    """The generator exponent vectors e of the top level of ``tower`` and,
+    for each, ``_p_coordinates`` of (g^e)^p.  Memoized on the tower."""
+    def build():
+        exps = list(_iproduct(*(range(s.degree) for s in tower.steps)))
+        one = RatFunc.one(tower.ring)
+        monomials = (_from_coordinates(tower, tower.depth, {e: one}) for e in exps)
+        return exps, [_p_coordinates(power(g, tower.p)) for g in monomials]
+    return _memo(tower, "frobenius_columns", build)
+
+
+def _p_coordinates(x: Elem) -> dict:
+    """The base coordinates of x, each in the p-basis of the base field:
+    {(generator exponents, p-basis exponents): coordinate}."""
+    return {(f, r): c for f, cf in _coordinates(x, 0).items()
+            for r, c in _p_basis_coordinates(cf).items()}
 
 
 def _p_basis_coordinates(x: RatFunc) -> dict:

@@ -7,8 +7,9 @@ argv as typed at the repository root and the exit code; ``stdout`` and
 sit beside them.  A case may list in ``writes`` the files the command
 writes, each pinned by the file of that name in the directory, and in
 ``masked`` the timing fields (JSON keys and CSV columns) left out of the
-comparison.  The command runs in an empty directory, so what it writes
-lands there.
+comparison.  Everything else is compared character for character, line
+terminators included.  The command runs in an empty directory, so what it
+writes lands there.
 """
 
 from __future__ import annotations
@@ -27,23 +28,32 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = sorted(path.name for path in GOLDEN.iterdir() if path.is_dir())
 
 
+def _read(path: Path) -> str:
+    """The exact text of a file, line terminators untranslated."""
+    with open(path, newline="") as handle:
+        return handle.read()
+
+
 def _masked(text: str, names) -> str:
     """``text`` with the numbers under the JSON keys ``names``, and the cells
-    of the CSV columns headed by them, replaced by ``*``."""
+    of the CSV columns headed by them, replaced by ``*``; every line keeps
+    its terminator."""
     if not names:
         return text
     out, columns = [], None
-    for line in text.splitlines():
-        if line.startswith("{"):
-            out.append(re.sub(r'"(%s)":\d+' % "|".join(names), r'"\1":*', line))
+    for line in text.splitlines(keepends=True):
+        body = line.rstrip("\r\n")
+        end = line[len(body):]
+        if body.startswith("{"):
+            out.append(re.sub(r'"(%s)":\d+' % "|".join(names), r'"\1":*', body) + end)
             continue
-        cells = next(csv.reader([line]))
+        cells = next(csv.reader([body]))
         if columns is None:
             columns = [i for i, cell in enumerate(cells) if cell in names]
         else:
             cells = ["*" if i in columns else cell for i, cell in enumerate(cells)]
-        out.append(",".join(cells))
-    return "\n".join(out)
+        out.append(",".join(cells) + end)
+    return "".join(out)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -57,11 +67,11 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     masked = case.get("masked", ())
     assert code == case["exit_code"]
-    assert _masked(out, masked) == _masked((case_dir / "stdout").read_text(), masked)
-    assert err == (case_dir / "stderr").read_text()
+    assert _masked(out, masked) == _masked(_read(case_dir / "stdout"), masked)
+    assert err == _read(case_dir / "stderr")
     for written in case.get("writes", ()):
-        assert (_masked((tmp_path / written).read_text(), masked)
-                == _masked((case_dir / written).read_text(), masked))
+        assert (_masked(_read(tmp_path / written), masked)
+                == _masked(_read(case_dir / written), masked))
 
 
 def test_the_golden_cases_are_the_readme_examples():
