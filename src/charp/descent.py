@@ -21,8 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import towers as tw
 from .certify import CertBuilder, Certificate, verify_certificate
-from .invariants import BackendError, RealizeError
+from .invariants import RealizeError
 from .oracle import expr_invariants, expr_is_split, is_split, realize
+from .rationalize import rationalize_level
 from .symbols import (BrauerExpr, LevelMismatch, Symbol, _as_shift_between,
                       reduce_expr)
 
@@ -35,11 +36,15 @@ class SplitHypothesisError(DescentError):
     """A precondition 'this class is split' could not be established."""
 
 
+# the degree bound of the norm-witness drops in elementary reduction, and
+# the height of the left slots that the Albert search tries
+ELEMENTARY_NORM_BOUND = 2
+ALBERT_HEIGHT = 1
+
+
 @dataclass
 class SearchConfig:
     norm_bound: int = 4
-    elementary_norm_bound: int = 2
-    albert_height: int = 1
 
 
 @dataclass
@@ -138,24 +143,20 @@ def frobenius_push(s: Symbol, down_level: int) -> Symbol:
 # certification helper
 # ---------------------------------------------------------------------------
 
-def certify_equivalence(start: BrauerExpr, result: BrauerExpr,
-                        cfg: SearchConfig) -> Certificate:
+def certify_equivalence(start: BrauerExpr, result: BrauerExpr) -> Certificate:
     """A certificate chaining start (x) result^op to the empty expression:
     elementary rewriting first, and when a remainder survives, one
     invariant-matched rewrite on the univariate backend closes it."""
     tower = start.tower
     builder = CertBuilder(tower)
     combined = start.tensor(result.op())
-    remainder = reduce_expr(combined, recorder=builder,
-                            norm_bound=cfg.elementary_norm_bound)
+    remainder = reduce_expr(combined, recorder=builder, norm_bound=ELEMENTARY_NORM_BOUND)
     if not remainder.is_empty():
-        try:
-            v = expr_invariants(remainder)
-        except BackendError:
+        if rationalize_level(tower, remainder.level) is None:
             raise DescentError(
                 "cannot certify: remainder of length %d and no oracle backend"
                 % remainder.length())
-        if not v.is_zero():
+        if not expr_invariants(remainder).is_zero():
             raise DescentError("certification failed: remainder has nonzero invariants")
         empty = BrauerExpr(tower, remainder.level, [])
         builder.record("AlbertDecomp", remainder, empty,
@@ -194,7 +195,7 @@ def albert_decompose(e: BrauerExpr, K: InsepTower,
     """Decompose a class split by K into symbols with the tower's radicands
     in the radical slots; at most one symbol per radicand."""
     e, dec = _albert_uncertified(e, K, cfg)
-    dec.certificate = certify_equivalence(e, dec.expr, cfg)
+    dec.certificate = certify_equivalence(e, dec.expr)
     return dec
 
 
@@ -209,7 +210,7 @@ def _albert_uncertified(e: BrauerExpr, K: InsepTower,
     e = e.rebind(tower)
     labels: List[CheckLabel] = []
     verdict = expr_is_split(e.lift_to(K.top_level), strategy="auto",
-                            degree_bound=cfg.elementary_norm_bound)
+                            degree_bound=ELEMENTARY_NORM_BOUND)
     if verdict.status == "nonsplit":
         raise SplitHypothesisError("the class is not split by the tower: %s"
                                    % verdict.reason)
@@ -218,14 +219,9 @@ def _albert_uncertified(e: BrauerExpr, K: InsepTower,
                                    % verdict.reason)
     labels.append(CheckLabel("input class is split by the inseparable tower",
                              "oracle" if verdict.vector is not None else "witness"))
-    try:
-        v = expr_invariants(e)
-        backend = True
-    except BackendError:
-        backend = False
-    if backend:
+    if rationalize_level(tower, f_level) is not None:
         try:
-            result = realize(v, tower, f_level, b_slots=K.radicands())
+            result = realize(expr_invariants(e), tower, f_level, b_slots=K.radicands())
         except RealizeError as err:
             raise DescentError("decomposition not found: %s" % err)
         slots = _match_slots(result, K)
@@ -257,7 +253,7 @@ def _albert_search(e: BrauerExpr, K: InsepTower,
     tower = K.tower
     f_level = K.over_level
     rads = [tw.lift(b, f_level) for b in K.radicands()]
-    pool = [tw.lift(tw.Elem(tower, 0, rf), f_level) for h in range(cfg.albert_height + 1)
+    pool = [tw.lift(tw.Elem(tower, 0, rf), f_level) for h in range(ALBERT_HEIGHT + 1)
             for rf in tw._ratfuncs_of_height(tower, h)]
     screen = _ClassScreen(e, rads, pool)
     for size in range(0, len(rads) + 1):
@@ -270,20 +266,7 @@ def _albert_search(e: BrauerExpr, K: InsepTower,
                 if test.is_empty():
                     return cand, list(subset)
     raise DescentError("decomposition not found within the search bound "
-                       "(left-slot height %d)" % cfg.albert_height)
-
-
-_UNKNOWN = "unknown"
-
-
-def _decided(test, *args):
-    """``test(*args)``, or ``_UNKNOWN`` where the tower cannot decide it.
-    Kept apart from ``symbols._undecided_is_none``: the screen cuts only on
-    decided answers, so it must tell "unknown" apart from None."""
-    try:
-        return test(*args)
-    except NotImplementedError:
-        return _UNKNOWN
+                       "(left-slot height %d)" % ALBERT_HEIGHT)
 
 
 class _ClassScreen:
@@ -294,34 +277,32 @@ class _ClassScreen:
     slots modulo p-th powers, and the empty expression maps all to 1.  A
     class of e with no p-th power product is *open*; as each slot joins one
     class, a prefix is cut when more open classes are uncovered than slots
-    remain, and a full choice when a class of e it joins stays open.  A test
-    the tower cannot decide never cuts."""
+    remain, and a full choice when a class of e it joins stays open.  The
+    screen is off where ``towers.as_exact`` is false: there the class tests
+    answer None for undecided."""
 
     def __init__(self, e: BrauerExpr, rads: List[tw.Elem], pool: List[tw.Elem]):
         self.rads, self.pool, self.p = rads, pool, e.p
         self.nonzero = [i for i, a in enumerate(pool) if not a.is_zero()]
         self.reps, self.prods, self.tags, self.open_at = [], [], {}, {}
-        self.exact = True
+        self.exact = tw.as_exact(e.tower, e.level)
+        if not self.exact:
+            return
         for s in e.entries:
-            trivial = _decided(tw.artin_schreier_preimage, s.a)  # a c: dropped
-            j = self._class(s.a) if trivial is None else trivial
-            if j is _UNKNOWN:
-                self.exact = False
-                return
+            if tw.artin_schreier_preimage(s.a) is not None:
+                continue  # a trivial a slot: dropped
+            j = self._class(s.a)
             if j is None:
                 self.reps.append(s.a)
                 self.prods.append(s.b)
-            elif isinstance(j, int):
+            else:
                 self.prods[j] = tw.mul(self.prods[j], s.b)
         self.open = frozenset(j for j in range(len(self.reps)) if self._is_open(j, ()))
 
-    def _class(self, a: tw.Elem):
-        """The index of a's class among e's, None for none, or _UNKNOWN."""
-        for j, rep in enumerate(self.reps):
-            found = _decided(_as_shift_between, a, rep)
-            if found is not None:
-                return found if found is _UNKNOWN else j
-        return None
+    def _class(self, a: tw.Elem) -> Optional[int]:
+        """The index of a's class among e's, or None for none."""
+        return next((j for j, rep in enumerate(self.reps)
+                     if _as_shift_between(a, rep) is not None), None)
 
     def _tag(self, i: int):
         if i not in self.tags:
@@ -342,18 +323,16 @@ class _ClassScreen:
         if not self.exact:
             return product(self.nonzero, repeat=len(subset))
 
-        def walk(prefix, uncovered, unknown):
+        def walk(prefix, uncovered):
             left = len(subset) - len(prefix)
-            if len(uncovered) - unknown > left:
+            if len(uncovered) > left:
                 return
             if left:
                 for i in self.nonzero:
-                    tag = self._tag(i)
-                    yield from walk(prefix + (i,), uncovered - {tag},
-                                    unknown + (tag is _UNKNOWN))
-            elif unknown or self._may_close(subset, prefix):
+                    yield from walk(prefix + (i,), uncovered - {self._tag(i)})
+            elif self._may_close(subset, prefix):
                 yield prefix
-        return walk((), self.open, 0)
+        return walk((), self.open)
 
     def _may_close(self, subset, choice) -> bool:
         joined = {}
@@ -432,9 +411,9 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     cyclic = Symbol(tw.rebind(cyclic_data.a, tower), tw.rebind(cyclic_data.b, tower))
     if cyclic.level != top:
         raise ValueError("cyclic data must live at the top of the tower")
-    labels = [_hypothesis_label(A, cyclic, top, cfg)]
+    labels = [_hypothesis_label(A, cyclic, top)]
 
-    verdict = is_split(cyclic, strategy="auto", degree_bound=cfg.elementary_norm_bound)
+    verdict = is_split(cyclic, strategy="auto", degree_bound=ELEMENTARY_NORM_BOUND)
     if verdict.is_split:
         dec = albert_decompose(A, K, cfg)
         empty = BrauerExpr(tower, f_level, [])
@@ -466,7 +445,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
         result = dec.expr.tensor(bp_expr)
         if result.length() > n + p - 1:
             raise AssertionError("decomposition exceeded the n + p - 1 bound")
-        cert = certify_equivalence(A, result, cfg)
+        cert = certify_equivalence(A, result)
         return ReduceOutcome(dec.expr, bp_expr, cert, "norm-witness-in-base",
                              labels + dec.labels, z_prime)
 
@@ -490,24 +469,20 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     if b_expr.length() + bp_expr.length() > n + p - 1:
         raise AssertionError("decomposition exceeded the n + p - 1 bound")
     result = b_expr.tensor(bp_expr)
-    cert = certify_equivalence(A.rebind(M.tower), result, cfg)
+    cert = certify_equivalence(A.rebind(M.tower), result)
     case = "norm-witness-quadratic" if p == 2 else "norm-witness-extension"
     return ReduceOutcome(b_expr, bp_expr, cert, case, labels + dec.labels, z_prime)
 
 
-def _hypothesis_label(A: BrauerExpr, cyclic: Symbol, top: int,
-                      cfg: SearchConfig) -> CheckLabel:
+def _hypothesis_label(A: BrauerExpr, cyclic: Symbol, top: int) -> CheckLabel:
     claim = "the class over the tower is equivalent to the supplied cyclic symbol"
     test = A.lift_to(top).tensor(BrauerExpr(cyclic.tower, top, [cyclic]).op())
-    try:
-        v = expr_invariants(test)
-        if not v.is_zero():
+    if rationalize_level(test.tower, top) is not None:
+        if not expr_invariants(test).is_zero():
             raise SplitHypothesisError(
                 "cyclic data does not match the class over the tower")
         return CheckLabel(claim, "oracle")
-    except BackendError:
-        pass
-    reduced = reduce_expr(test, norm_bound=cfg.elementary_norm_bound)
+    reduced = reduce_expr(test, norm_bound=ELEMENTARY_NORM_BOUND)
     if reduced.is_empty():
         return CheckLabel(claim, "witness")
     return CheckLabel(claim, "assumed")

@@ -23,7 +23,7 @@ from . import towers as tw
 from .invariants import BackendError, InvariantVector, realize_pairs, symbol_vector
 from .rationalize import Rationalization, rationalize_level
 from .symbols import (BrauerExpr, Symbol, _norm_search_bound, norm_witness,
-                      normalize_symbol)
+                      normalize_symbol, reduce_expr)
 from .textform import format_place
 
 
@@ -88,11 +88,8 @@ def is_split(s: Symbol, strategy: str = "both", degree_bound: int = 4) -> SplitR
     s = out.symbol
 
     if strategy == "auto":
-        try:
-            backend_for(s.tower, s.level)
-            strategy = "invariants"
-        except BackendError:
-            strategy = "norm_search"
+        strategy = ("invariants" if rationalize_level(s.tower, s.level) is not None
+                    else "norm_search")
 
     vector = None
     if strategy in ("invariants", "both"):
@@ -123,18 +120,14 @@ def expr_is_split(expr: BrauerExpr, strategy: str = "auto",
                   degree_bound: int = 4) -> SplitResult:
     """Splitting of a whole expression: by the oracle where available, else
     (strategy "auto") by elementary reduction to the empty expression."""
-    try:
-        vector = expr_invariants(expr)
-    except BackendError:
-        if strategy == "invariants":
-            raise
-        from .symbols import reduce_expr
+    if strategy != "invariants" and rationalize_level(expr.tower, expr.level) is None:
         reduced = reduce_expr(expr, norm_bound=degree_bound)
         if reduced.is_empty():
             return SplitResult("split", reason="reduces to the empty expression")
         return SplitResult("unknown",
                            reason="irreducible remainder of length %d" % reduced.length(),
                            searched_bound=degree_bound)
+    vector = expr_invariants(expr)
     if vector.is_zero():
         return SplitResult("split", reason="all local invariants vanish", vector=vector)
     return _nonsplit(vector)

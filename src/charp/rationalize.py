@@ -163,31 +163,13 @@ def _extend_insep(rz: Rationalization, tower: tw.FieldTower, lvl: int) -> Ration
     if root is None:
         raise AssertionError("radicand image must become a p-th power after refining")
     gen_images = [refine(g) for g in rz.gen_images] + [root]
-
-    # express the refined variable inside the source tower: w satisfies
-    # s = root(w) with w^p = u, so solve sum_j gamma_j s^j = w over GF(Q)(u)
-    helper = tw.FieldTower(q_field, [old_var])
-    u_var = tw.var_elem(helper, old_var)
-    helper = tw.make_step(helper, "insep_root", "@w", u_var)
-    w_gen = tw.gen_elem(helper, 1)
-    s_helper = _evaluate(root, w_gen, lambda c: tw.const_elem(helper, c, 1).rep)
-    cols = []
-    cur = tw.int_elem(helper, 1, 1)
-    for _ in range(p):
-        cols.append(tw._coordinates(cur, 0))
-        cur = tw.mul(cur, s_helper)
-    sol = tw._solve_columns(tw._ops(helper, 0), cols, tw._coordinates(w_gen, 0))
-    if sol is None:
-        raise AssertionError("the root generator must generate the refined field")
-    # w = sum_j gamma_j s^j, each gamma in GF(Q)(u) pulled back through the
-    # previous stage
-    w_source = tw.Elem(tower, lvl, tuple(rz.backward(gamma).rep for gamma in sol))
     return Rationalization(
         source=tower, source_level=lvl, rat_tower=rat,
         embed_const=rz.embed_const,
         var_exp=rz.var_exp * p,
         gen_images=gen_images,
-        w_source=w_source,
+        # w^p = u, and p-th roots are unique
+        w_source=tw.pth_root_in_level(tw.lift(rz.w_source, lvl)),
         genq_source=tw.lift(rz.genq_source, lvl),
     )
 

@@ -59,10 +59,6 @@ class Symbol:
     def lift_to(self, level: int) -> "Symbol":
         return Symbol(tw.lift(self.a, level), tw.lift(self.b, level))
 
-    def sort_key(self):
-        from .textform import format_elem
-        return (format_elem(self.a), format_elem(self.b))
-
     def __repr__(self) -> str:
         from .textform import format_symbol
         return format_symbol(self)
@@ -113,10 +109,6 @@ class BrauerExpr:
                           [Symbol(tw.rebind(s.a, tower), tw.rebind(s.b, tower))
                            for s in self.entries])
 
-    def sorted(self) -> "BrauerExpr":
-        return BrauerExpr(self.tower, self.level,
-                          sorted(self.entries, key=Symbol.sort_key))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BrauerExpr) and self.level == other.level
                 and self.entries == other.entries)
@@ -147,9 +139,10 @@ class NormalizeOutcome:
 
 def normalize_symbol(s: Symbol) -> NormalizeOutcome:
     """Canonical pole-order-reduced a and p-th-power-free b over the
-    univariate base; exact triviality tests elsewhere.  Returns a split
-    outcome when a lands in the image of c^p - c or b reduces to one.
-    Memoized on the symbol's tower."""
+    univariate base; triviality tests elsewhere, exact but for the a slot
+    where ``towers.as_exact`` is false.  Returns a split outcome when a
+    lands in the image of c^p - c or b reduces to one.  Memoized on the
+    symbol's tower."""
     return tw._memo(s.tower, ("normalize", s.level, s.a.rep, s.b.rep),
                     lambda: _normalize_symbol_uncached(s))
 
@@ -169,7 +162,7 @@ def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
             power_shift = tw.div(tw.int_elem(tower, level, 1), w)
             b = b_red
     else:
-        c = _undecided_is_none(tw.artin_schreier_preimage, a)
+        c = tw.artin_schreier_preimage(a)
         if c is not None and not c.is_zero():
             as_shift = tw.neg(c)
             a = tw.sub(a, tw.wp(c))
@@ -184,19 +177,9 @@ def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
     return NormalizeOutcome(Symbol(a, b), as_shift, power_shift)
 
 
-def _undecided_is_none(test, *args):
-    """``test(*args)``, or None where the tower cannot decide it: here an
-    undecided test means "no".  ``test`` is passed at each call, so a
-    patched ``towers`` function is the one called."""
-    try:
-        return test(*args)
-    except NotImplementedError:
-        return None
-
-
 def _as_shift_between(x: Elem, y: Elem) -> Optional[Elem]:
-    """The c that ``artin_schreier_preimage`` gives for x - y, or None; it
-    raises ``NotImplementedError`` where the tower cannot tell.  Memoized
+    """The c that ``artin_schreier_preimage`` gives for x - y, or None, which
+    is undecided where ``towers.as_exact`` is false.  Memoized
     on the tower below the slots' level by the ordered pair of
     representations: the preimage of y - x may differ from -c by a constant
     of GF(p), so the pair is not sorted."""
@@ -317,7 +300,7 @@ def match_as_shifts(expr: BrauerExpr, recorder=None) -> BrauerExpr:
                 si, sj = cur.entries[i], cur.entries[j]
                 if si.a == sj.a:
                     continue
-                c = _undecided_is_none(_as_shift_between, si.a, sj.a)
+                c = _as_shift_between(si.a, sj.a)
                 if c is None:
                     continue
                 shifted = Symbol(tw.add(sj.a, tw.wp(c)), sj.b)

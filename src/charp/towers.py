@@ -398,7 +398,8 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
 
     ``data`` is the defining element (artin_schreier / insep_root) or a
     little-endian monic list of lower-level Elems (simple).  Degenerate steps
-    are rejected with the reason in the exception message.
+    are rejected with the reason in the exception message.  A simple step
+    g^p + c = 0 is the root step g^p = -c and is built as one.
     """
     if tower.depth >= MAX_DEPTH:
         raise StepError("tower nesting depth limit (%d) reached" % MAX_DEPTH)
@@ -412,11 +413,12 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         if a.level > tower.depth:
             raise StepError("defining element lives above the tower top")
         a = lift(a, tower.depth)
-        try:
+        if as_exact(tower, tower.depth):
             hit = artin_schreier_preimage(a)
-        except NotImplementedError:
-            # a simple step at or below: bounded candidate search
-            hit = _as_degenerate_bounded(tower, a)
+        else:  # a bounded probe for a root of X^p - X - a
+            coeffs = [neg(a)] + [int_elem(tower, tower.depth, n)
+                                 for n in [-1] + [0] * (p - 2) + [1]]
+            hit = _first_root(coeffs, _pool_candidates(tower))
         if hit is not None:
             raise StepError(
                 "degenerate step: defining element equals w^%d - w for w = %r" % (p, hit))
@@ -443,6 +445,9 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
             raise StepError("simple step polynomial must be monic")
         if degree > 3:
             raise StepError("simple steps above degree 3 are not supported")
+        if degree == p and all(c.is_zero() for c in coeffs[1:-1]):
+            # g^p + c = 0 is the root step g^p = -c
+            return make_step(tower, "insep_root", gen, neg(coeffs[0]))
         if _has_root_at_level(tower, coeffs):
             raise StepError("degenerate step: polynomial has a root at this level")
         payload = tuple(c.rep for c in coeffs)
@@ -454,38 +459,21 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
                      tower)
 
 
-def _as_degenerate_bounded(tower: FieldTower, a: Elem) -> Optional[Elem]:
-    """Bounded-search degeneracy probe, only for levels with a simple step at
-    or below them (no exact test): catches w of small height, never proves
-    nondegeneracy."""
-    level = a.level
-    for rep in _pool_candidates(tower, level):
-        cand = Elem(tower, level, rep)
-        if sub(power(cand, tower.p), cand) == a:
-            return cand
-    return None
-
-
 def _has_root_at_level(tower: FieldTower, coeffs: List[Elem]) -> bool:
-    """Root test for degree <= 3 polynomials: exact over the univariate base
-    (rational root candidates from factored outer coefficients), a small
-    deterministic candidate pool elsewhere."""
-    level = tower.depth
-    ops = _ops(tower, level)
+    """Root test for degree <= 3 polynomials at the tower top: exact over
+    the univariate base (rational root candidates from factored outer
+    coefficients), a bounded probe of the candidate pool elsewhere."""
+    if tower.depth == 0 and tower.ring.nvars == 1:
+        return _first_root(coeffs, _rational_root_candidates(tower, coeffs)) is not None
+    return _first_root(coeffs, _pool_candidates(tower)) is not None
+
+
+def _first_root(coeffs: List[Elem], candidates) -> Optional[Elem]:
+    """The first of the candidates at which the polynomial with the
+    little-endian coefficients ``coeffs`` vanishes, or None."""
+    ops = _ops(coeffs[0].tower, coeffs[0].level)
     reps = [c.rep for c in coeffs]
-
-    def value_at(rep):
-        return ops.is_zero(_upoly_eval(ops, reps, rep))
-
-    if level == 0 and tower.ring.nvars == 1:
-        for cand in _rational_root_candidates(tower, coeffs):
-            if value_at(cand.rep):
-                return True
-        return False
-    for cand in _pool_candidates(tower, level):
-        if value_at(cand):
-            return True
-    return False
+    return next((x for x in candidates if ops.is_zero(_upoly_eval(ops, reps, x.rep))), None)
 
 
 def _rational_root_candidates(tower: FieldTower, coeffs: List[Elem]):
@@ -519,15 +507,18 @@ def _monic_divisors(f: Poly) -> List[Poly]:
     return out
 
 
-def _pool_candidates(tower: FieldTower, level: int):
+def _pool_candidates(tower: FieldTower):
+    """Constants, variables, their inverses and generators, at the top: a
+    miss among them proves nothing."""
+    level = tower.depth
     for c in tower.base_field.elements():
-        yield lift(const_elem(tower, c), level).rep
+        yield const_elem(tower, c, level)
     for name in tower.ring.variables:
         v = var_elem(tower, name)
-        yield lift(v, level).rep
-        yield lift(Elem(tower, 0, v.rep.inv()), level).rep
+        yield lift(v, level)
+        yield lift(Elem(tower, 0, v.rep.inv()), level)
     for k in range(1, level + 1):
-        yield lift(gen_elem(tower, k), level).rep
+        yield lift(gen_elem(tower, k), level)
 
 
 # ---------------------------------------------------------------------------
@@ -565,23 +556,15 @@ def _pth_root_uncached(x: Elem) -> Optional[Elem]:
     # so y^p = x is F-linear in the y_e: sum_e y_e ((g^e)^p)_(f,r) = x_(f,r).
     # Frobenius is injective, so a solution is the root.  Separable steps
     # create no new p-th powers, so the system is set up at the lowest level
-    # that carries x and lies above every inseparable step.
+    # that carries x and lies above every root step.
     tower = x.tower
     level = max([level_of_definition(x)]
-                + [k for k in range(1, x.level + 1) if _inseparable(tower, k)])
+                + [k for k in range(1, x.level + 1) if tower.step_at(k).kind == "insep_root"])
     exps, columns = _frobenius_columns(truncate(tower, level))
     sol = _solve_columns(_ops(tower, 0), columns, _p_coordinates(descend(x, level)))
     if sol is None:
         return None
     return lift(_from_coordinates(tower, level, dict(zip(exps, sol))), x.level)
-
-
-def _inseparable(tower: FieldTower, level: int) -> bool:
-    """Whether the step at ``level`` has a defining polynomial in g^p: a
-    root step, or a simple step such as g^2 + t."""
-    ops = _ops(tower, level)
-    return all(ops._lower.is_zero(c)
-               for e, c in enumerate(ops.minpoly_lower()) if e % tower.p)
 
 
 def _frobenius_columns(tower: FieldTower) -> Tuple[list, list]:
@@ -637,10 +620,16 @@ def artin_schreier_preimage(a: Elem) -> Optional[Elem]:
 
     Base level: pole-order reduction at every place (univariate) or an exact
     semilinear solve (multivariate).  Above it, one coordinate of c at a
-    time over the level below, through root and Artin-Schreier steps alike;
-    a level with a simple step at or below it raises.
+    time over the level below, through root and Artin-Schreier steps alike.
+    Where ``as_exact`` is false, None means undecided.
     """
     return _memo_on_prefix("as_preimage", _as_preimage_uncached, a)
+
+
+def as_exact(tower: FieldTower, level: int) -> bool:
+    """Whether ``artin_schreier_preimage`` decides its question at ``level``:
+    no step at or below it is simple."""
+    return all(step.kind != "simple" for step in tower.steps[:level])
 
 
 def _as_preimage_uncached(a: Elem) -> Optional[Elem]:
@@ -656,7 +645,7 @@ def _as_preimage_uncached(a: Elem) -> Optional[Elem]:
         return _as_preimage_base(a)
     kind = tower.step_at(level).kind
     if kind == "simple":
-        raise NotImplementedError("Artin-Schreier membership over a simple step")
+        return None  # undecided: see as_exact
     ops, low, p = _ops(tower, level), _ops(tower, level - 1), tower.p
 
     def solve(j, c):

@@ -3,17 +3,16 @@
 The search used to run ``reduce_expr`` on every choice of left slots; the
 screen skips the choices whose Artin-Schreier class map cannot reduce to
 the trivial one.  These tests keep that exhaustive loop as the reference
-and check that the screened search returns the same candidate, that an
-undecided test never cuts, that ``reduce_expr`` keeps the class map, and
-that the n = 3 instance the screen was built for stays fast and
-byte-identical.
+and check that the screened search returns the same candidate, that it
+cuts nothing where the class tests are undecided, that ``reduce_expr``
+keeps the class map, and that the n = 3 instance the screen was built for
+stays fast and byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import sys
 import time
 from itertools import combinations, product
 
@@ -39,7 +38,7 @@ def reference_search(e, K, cfg, screens=None):
     """The search with no screen: ``reduce_expr`` on every choice, in the
     same order, counting the screens into ``screens``."""
     tower, f_level, rads = K.tower, K.over_level, K.radicands()
-    pool = [tw.Elem(tower, 0, rf) for h in range(cfg.albert_height + 1)
+    pool = [tw.Elem(tower, 0, rf) for h in range(descent.ALBERT_HEIGHT + 1)
             for rf in tw._ratfuncs_of_height(tower, h)]
     n = len(rads)
     for size in range(0, n + 1):
@@ -186,35 +185,26 @@ def test_random_classes_cover_hits_and_exhaustion():
     assert any(f is None for f in found) and any(f and len(f[1]) == 2 for f in found)
 
 
-def _raise_from_descent(test):
-    """``test``, but undecided when ``descent`` asks it."""
-    def patched(*args):
-        if sys._getframe(1).f_globals["__name__"] == descent.__name__:
-            raise NotImplementedError("undecided for the test")
-        return test(*args)
-    return patched
-
-
-@pytest.mark.parametrize("target", ["_as_shift_between", "artin_schreier_preimage"])
+@pytest.mark.parametrize("base", ["GF(2)(t1,t2)", "GF(2)(t1,t2) ; EXT j: j^3+j+1 = 0"])
 @pytest.mark.parametrize("text", ["[1/t2, t1)_2 * [1/t1, t2)_2", "[1/t2, t1)_2"])
-def test_an_undecided_test_never_cuts(monkeypatch, target, text):
-    """With one of the screen's tests undecided, the search screens every
-    choice the reference screens and returns the same candidate."""
-    K = insep_tower("GF(2)(t1,t2)", ["t1", "t2"])
-    e = parse_expr(text, K.tower)
+def test_the_screen_cuts_only_where_the_class_tests_are_exact(monkeypatch, base, text):
+    """Above a simple step ``towers.as_exact`` is false, so the screen is
+    off: the search screens every choice the reference screens and returns
+    the same candidate.  Elsewhere it screens that candidate only."""
+    tower = parse_tower(base)
+    K = InsepTower(tower)
+    for name, radicand in zip("ru", ["t1", "t2"]):
+        K.add(parse_element(radicand, tower, tower.depth), name)
+    e = parse_expr(text, K.tower, tower.depth)
     reference = []
     expected = outcome(lambda *args: reference_search(*args, screens=reference), e, K)
     assert expected is not None and expected[0] == text
     screens = count_screens(monkeypatch)
     assert outcome(descent._albert_search, e, K) == expected
-    assert len(screens) == 1 < len(reference)
-    screens.clear()
-    module = descent if target == "_as_shift_between" else tw
-    monkeypatch.setattr(module, target, _raise_from_descent(getattr(module, target)))
-    assert outcome(descent._albert_search, e, K) == expected
-    # nothing is cut but, when e has a class that is surely open, the empty
-    # choice: that cut rests on decided tests only
-    assert len(screens) >= len(reference) - 1
+    if tw.as_exact(tower, tower.depth):
+        assert len(screens) == 1 < len(reference)
+    else:
+        assert len(screens) == len(reference) > 1
 
 
 def class_map(expr):

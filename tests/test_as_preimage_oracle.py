@@ -98,10 +98,29 @@ def test_root_chain_above_the_base_separates_classes():
     assert tw.artin_schreier_preimage(tw.wp(u)) is not None
 
 
-def test_simple_step_raises():
+def test_simple_step_is_undecided():
     T = parse_tower("GF(2)(t) ; EXT j: j^3+j+1 = 0 ; ROOT s: s^2 = t")
-    with pytest.raises(NotImplementedError):
-        tw.artin_schreier_preimage(tw.gen_elem(T, 2))
+    assert tw.artin_schreier_preimage(tw.gen_elem(T, 2)) is None
+    assert not tw.as_exact(T, 2)
+
+
+SIMPLE = [
+    "GF(2)(t) ; EXT j: j^3+j+1 = 0 ; ROOT s: s^2 = t",
+    "GF(2)(t) ; ROOT s: s^2 = t ; EXT j: j^3+(s)*j+1 = 0",
+]
+
+
+@pytest.mark.parametrize("text", RATIONAL + ROUND_TRIP + SIMPLE)
+def test_as_exact_is_where_the_preimage_of_wp_is_found(text):
+    # the test decides a level exactly when no simple step lies at or below it
+    T = parse_tower(text)
+    rng = random.Random(text)
+    for level in range(T.depth + 1):
+        simple = any(T.step_at(k).kind == "simple" for k in range(1, level + 1))
+        assert tw.as_exact(T, level) is not simple
+        for _ in range(3):
+            back = tw.artin_schreier_preimage(tw.wp(rand_at(rng, T, level, max_deg=1)))
+            assert (back is not None) is not simple
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +159,10 @@ def test_make_step_accepts_a_proper_artin_schreier_step():
     (["splits", "--tower", "GF(2)(t) ; EXT j: j^3+j+1 = 0", "--level", "1",
       "--strategy", "norm_search", "--bound", "2", "[1/t, t)_2"],
      0, "split: norm witness; witness t*w\n", ""),
-], ids=["root-radicand-above-base", "root-undecided", "simple-step-probe"])
+    (["splits", "--tower", "GF(2)(t) ; EXT j: j^2+t = 0", "--level", "1", "[1/t, j)_2"],
+     0, "split: norm witness; witness 1+j*w\n", ""),
+], ids=["root-radicand-above-base", "root-undecided", "simple-step-probe",
+        "simple-step-in-g-p"])
 def test_cli_outputs(argv, code, out, err, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()

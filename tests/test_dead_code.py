@@ -5,7 +5,9 @@ A name counts as used when it appears in ``src/charp``, ``tests`` or
 ``perfbench`` more often than it is defined in ``src/charp``: as a call, an
 import, a reference, or inside a string (the benchmark's tracer resolves
 names from strings).  Comments do not count.  Matching is by name, so
-same-named definitions share their uses.  Dunder methods are exempt: the
+same-named definitions share their uses.  A method named like a Python
+builtin (``sorted``, ``pow``) counts only its attribute uses ``.name``,
+because a bare name is the builtin.  Dunder methods are exempt: the
 language calls them.
 
 A private name (one leading underscore) is no API: when only tests or the
@@ -19,6 +21,7 @@ API that only tests or the benchmark reach; it fails unless
 from __future__ import annotations
 
 import ast
+import builtins
 import io
 import re
 import tokenize
@@ -29,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "charp"
 SEARCHED = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ATTRIBUTE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)")
 
 # private name -> why the package keeps it although only tests or the
 # benchmark name it
@@ -65,18 +69,41 @@ def _definitions():
                 stack.extend((child, prefix + node.name + ".") for child in node.body)
 
 
+def _builtin_methods():
+    """The names of the package's methods that a Python builtin shares."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                out.update(child.name for child in node.body
+                           if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and hasattr(builtins, child.name))
+    return out
+
+
 def _word_counts(roots=SEARCHED, skip=()):
     """Occurrences of each identifier-like word in the code and strings of
-    the given trees, but for the files ``skip``."""
+    the given trees, but for the files ``skip``.  A name of
+    ``_builtin_methods`` counts only after a dot or ``def``."""
+    attribute_only = _builtin_methods()
     counts: Counter = Counter()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             if path in skip:
                 continue
             tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            prev = None
             for tok in tokens:
-                if tok.type in (tokenize.NAME, tokenize.STRING):
-                    counts.update(_WORD.findall(tok.string))
+                if tok.type == tokenize.NAME:
+                    if tok.string not in attribute_only or prev in (".", "def"):
+                        counts[tok.string] += 1
+                elif tok.type == tokenize.STRING:
+                    counts.update(w for w in _WORD.findall(tok.string)
+                                  if w not in attribute_only)
+                    counts.update(w for w in _ATTRIBUTE.findall(tok.string)
+                                  if w in attribute_only)
+                if tok.type in (tokenize.NAME, tokenize.OP):
+                    prev = tok.string
     return counts
 
 

@@ -6,7 +6,7 @@ from conftest import rand_elem, rand_ratfunc
 from charp.ffield import FiniteField
 from charp.poly import RatFunc
 from charp import poly, towers as tw
-from charp.textform import format_elem, parse_element, parse_tower
+from charp.textform import format_elem, format_tower, parse_element, parse_tower
 
 
 def test_artin_schreier_constant_extension(f2t):
@@ -71,6 +71,15 @@ def test_simple_step_roundtrip(f2t):
         tw.make_step(f2t, "simple", "j",
                      [tw.int_elem(f2t, 0, 0), tw.var_elem(f2t, "t"),
                       tw.int_elem(f2t, 0, 1)])
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("GF(2)(t) ; EXT j: j^2+t = 0", "GF(2)(t) ; ROOT j: j^2 = t"),
+    ("GF(3)(t) ; EXT j: j^3+t = 0", "GF(3)(t) ; ROOT j: j^3 = 2*t"),
+])
+def test_simple_step_in_g_p_is_a_root_step(text, printed):
+    T = parse_tower(text)
+    assert T.step_at(1).kind == "insep_root" and format_tower(T) == printed
 
 
 def test_simple_step_degree_checked_before_root_search(f2t, monkeypatch):
