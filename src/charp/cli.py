@@ -41,8 +41,8 @@ element grammar: integers, variable and generator names, + - * / ^ and
 parentheses; constant-field elements are polynomials in the generator g,
 e.g. (g+1)*t^2+g, so over GF(p^d), d > 1, no variable or generator may be
 named g.  symbols: [a, b)_p with optional ^op; expressions join
-symbols with *.  towers: GF(q)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t ;
-EXT j: j^2+(t)*j+(t^2) = 0."""
+symbols with *.  towers: GF(q)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t,
+Artin-Schreier (AS) and root (ROOT) steps of degree p."""
 
 
 def _tower_from_args(args) -> tw.FieldTower:

@@ -16,7 +16,7 @@ oracle-checked, witness-checked, or assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import towers as tw
@@ -190,17 +190,15 @@ class DecompositionResult:
         }
 
 
-def albert_decompose(e: BrauerExpr, K: InsepTower,
-                     cfg: SearchConfig = SearchConfig()) -> DecompositionResult:
+def albert_decompose(e: BrauerExpr, K: InsepTower) -> DecompositionResult:
     """Decompose a class split by K into symbols with the tower's radicands
     in the radical slots; at most one symbol per radicand."""
-    e, dec = _albert_uncertified(e, K, cfg)
+    e, dec = _albert_uncertified(e, K)
     dec.certificate = certify_equivalence(e, dec.expr)
     return dec
 
 
-def _albert_uncertified(e: BrauerExpr, K: InsepTower,
-                        cfg: SearchConfig) -> Tuple[BrauerExpr, DecompositionResult]:
+def _albert_uncertified(e: BrauerExpr, K: InsepTower) -> Tuple[BrauerExpr, DecompositionResult]:
     """``albert_decompose`` with no certificate yet (None), and e over K's
     tower: for callers that certify a larger answer themselves."""
     tower = K.tower
@@ -209,8 +207,7 @@ def _albert_uncertified(e: BrauerExpr, K: InsepTower,
         raise LevelMismatch("the class must live at the level below the tower")
     e = e.rebind(tower)
     labels: List[CheckLabel] = []
-    verdict = expr_is_split(e.lift_to(K.top_level), strategy="auto",
-                            degree_bound=ELEMENTARY_NORM_BOUND)
+    verdict = expr_is_split(e.lift_to(K.top_level), degree_bound=ELEMENTARY_NORM_BOUND)
     if verdict.status == "nonsplit":
         raise SplitHypothesisError("the class is not split by the tower: %s"
                                    % verdict.reason)
@@ -227,7 +224,7 @@ def _albert_uncertified(e: BrauerExpr, K: InsepTower,
         slots = _match_slots(result, K)
         labels.append(CheckLabel("decomposition matches all local invariants", "oracle"))
     else:
-        result, slots = _albert_search(e, K, cfg)
+        result, slots = _albert_search(e, K)
         labels.append(CheckLabel("decomposition verified by elementary reduction",
                                  "witness"))
     if result.length() > K.degree_log:
@@ -245,8 +242,7 @@ def _match_slots(result: BrauerExpr, K: InsepTower) -> List[Optional[int]]:
     return out
 
 
-def _albert_search(e: BrauerExpr, K: InsepTower,
-                   cfg: SearchConfig) -> Tuple[BrauerExpr, List[Optional[int]]]:
+def _albert_search(e: BrauerExpr, K: InsepTower) -> Tuple[BrauerExpr, List[Optional[int]]]:
     """Bounded coefficient search for the left slots, one per radicand,
     verified by elementary reduction of e (x) candidate^op to empty, in
     ``product`` order; ``_ClassScreen`` skips choices that cannot close."""
@@ -277,17 +273,12 @@ class _ClassScreen:
     slots modulo p-th powers, and the empty expression maps all to 1.  A
     class of e with no p-th power product is *open*; as each slot joins one
     class, a prefix is cut when more open classes are uncovered than slots
-    remain, and a full choice when a class of e it joins stays open.  The
-    screen is off where ``towers.as_exact`` is false: there the class tests
-    answer None for undecided."""
+    remain, and a full choice when a class of e it joins stays open."""
 
     def __init__(self, e: BrauerExpr, rads: List[tw.Elem], pool: List[tw.Elem]):
         self.rads, self.pool, self.p = rads, pool, e.p
         self.nonzero = [i for i, a in enumerate(pool) if not a.is_zero()]
         self.reps, self.prods, self.tags, self.open_at = [], [], {}, {}
-        self.exact = tw.as_exact(e.tower, e.level)
-        if not self.exact:
-            return
         for s in e.entries:
             if tw.artin_schreier_preimage(s.a) is not None:
                 continue  # a trivial a slot: dropped
@@ -320,9 +311,6 @@ class _ClassScreen:
 
     def choices(self, subset: Tuple[int, ...]):
         """The kept choices of pool indices for the radicands ``subset``."""
-        if not self.exact:
-            return product(self.nonzero, repeat=len(subset))
-
         def walk(prefix, uncovered):
             left = len(subset) - len(prefix)
             if len(uncovered) > left:
@@ -415,7 +403,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
 
     verdict = is_split(cyclic, strategy="auto", degree_bound=ELEMENTARY_NORM_BOUND)
     if verdict.is_split:
-        dec = albert_decompose(A, K, cfg)
+        dec = albert_decompose(A, K)
         empty = BrauerExpr(tower, f_level, [])
         return ReduceOutcome(dec.expr, empty, dec.certificate, "already-split",
                              labels + dec.labels)
@@ -441,7 +429,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     if in_f:
         b_prime = Symbol(tw.rebind(x_p, tower), tw.rebind(z_f, tower))
         bp_expr = BrauerExpr(tower, f_level, [b_prime])
-        dec = _albert_uncertified(A.tensor(bp_expr.op()), K, cfg)[1]
+        dec = _albert_uncertified(A.tensor(bp_expr.op()), K)[1]
         result = dec.expr.tensor(bp_expr)
         if result.length() > n + p - 1:
             raise AssertionError("decomposition exceeded the n + p - 1 bound")
@@ -455,7 +443,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     for name, b in K.gens:
         M.add(tw.Elem(tower, K.over_level, b.rep), name)
     added = M.try_add_all(tw.min_poly(z_prime, f_level)[1:-1])
-    dec = _albert_uncertified(A, M, cfg)[1]
+    dec = _albert_uncertified(A, M)[1]
     b_entries, bp_entries = [], []
     for s, slot in zip(dec.expr.entries, dec.slots):
         if slot is not None and slot in added:

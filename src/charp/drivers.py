@@ -71,7 +71,7 @@ def decompose(scenario: Scenario, cfg: SearchConfig = SearchConfig()) -> DriveRe
     """Dispatch the constructive driver for a scenario with attached data."""
     report = bound(scenario)
     if scenario.kind == "split_by_insep":
-        result = _drive_albert(scenario, cfg)
+        result = _drive_albert(scenario)
     elif scenario.kind in ("cyclic_after_insep", "cyclic_deg"):
         result = _drive_cyclic_reduction(scenario, cfg)
     elif scenario.kind == "split_by_cyclic_p":
@@ -101,12 +101,12 @@ def _insep_chain(tower: tw.FieldTower, f_level: int, error: str) -> InsepTower:
     return K
 
 
-def _drive_albert(scenario: Scenario, cfg: SearchConfig):
+def _drive_albert(scenario: Scenario):
     tower, f_level, expr = _load_context(scenario)
     if tower.depth - f_level != scenario.n:
         raise DriverError("tower degree does not match the scenario exponent")
     K = _insep_chain(tower, f_level, "split_by_insep needs a chain of root steps")
-    dec = albert_decompose(expr, K, cfg)
+    dec = albert_decompose(expr, K)
     return dec.expr, dec.certificate, dec.labels, "albert"
 
 
@@ -159,7 +159,7 @@ def _drive_cyclic_step(scenario: Scenario, cfg: SearchConfig):
     for name, b in K.gens:
         comp = tw.make_step(comp, "insep_root", name,
                             tw.Elem(comp, f_level, b.rep))
-    lk_split = expr_is_split(expr.rebind(comp).lift_to(comp.depth), strategy="auto",
+    lk_split = expr_is_split(expr.rebind(comp).lift_to(comp.depth),
                              degree_bound=cfg.norm_bound)
     if not lk_split.is_split:
         raise DriverError("class did not split over the compositum: %s"

@@ -116,11 +116,10 @@ def is_split(s: Symbol, strategy: str = "both", degree_bound: int = 4) -> SplitR
                        reason="no witness within degree bound %d" % degree_bound)
 
 
-def expr_is_split(expr: BrauerExpr, strategy: str = "auto",
-                  degree_bound: int = 4) -> SplitResult:
+def expr_is_split(expr: BrauerExpr, degree_bound: int = 4) -> SplitResult:
     """Splitting of a whole expression: by the oracle where available, else
-    (strategy "auto") by elementary reduction to the empty expression."""
-    if strategy != "invariants" and rationalize_level(expr.tower, expr.level) is None:
+    by elementary reduction to the empty expression."""
+    if rationalize_level(expr.tower, expr.level) is None:
         reduced = reduce_expr(expr, norm_bound=degree_bound)
         if reduced.is_empty():
             return SplitResult("split", reason="reduces to the empty expression")

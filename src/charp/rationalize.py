@@ -139,12 +139,10 @@ def _rationalized(tower: tw.FieldTower, level: int) -> Optional[Rationalization]
         step = tower.step_at(lvl)
         if step.kind == "insep_root":
             rz = _extend_insep(rz, tower, lvl)
-        elif step.kind == "artin_schreier":
+        else:
             rz = _extend_const_as(rz, tower, lvl)
             if rz is None:
                 return None
-        else:
-            return None
     return rz
 
 

@@ -139,10 +139,9 @@ class NormalizeOutcome:
 
 def normalize_symbol(s: Symbol) -> NormalizeOutcome:
     """Canonical pole-order-reduced a and p-th-power-free b over the
-    univariate base; triviality tests elsewhere, exact but for the a slot
-    where ``towers.as_exact`` is false.  Returns a split outcome when a
-    lands in the image of c^p - c or b reduces to one.  Memoized on the
-    symbol's tower."""
+    univariate base; exact triviality tests elsewhere.  Returns a split
+    outcome when a lands in the image of c^p - c or b reduces to one.
+    Memoized on the symbol's tower."""
     return tw._memo(s.tower, ("normalize", s.level, s.a.rep, s.b.rep),
                     lambda: _normalize_symbol_uncached(s))
 
@@ -178,11 +177,11 @@ def _normalize_symbol_uncached(s: Symbol) -> NormalizeOutcome:
 
 
 def _as_shift_between(x: Elem, y: Elem) -> Optional[Elem]:
-    """The c that ``artin_schreier_preimage`` gives for x - y, or None, which
-    is undecided where ``towers.as_exact`` is false.  Memoized
-    on the tower below the slots' level by the ordered pair of
-    representations: the preimage of y - x may differ from -c by a constant
-    of GF(p), so the pair is not sorted."""
+    """The c that ``artin_schreier_preimage`` gives for x - y, or None when
+    x and y lie in different Artin-Schreier classes.  Memoized on the tower
+    below the slots' level by the ordered pair of representations: the
+    preimage of y - x may differ from -c by a constant of GF(p), so the pair
+    is not sorted."""
     return tw._memo_on_prefix(
         "as_shift", lambda u, v: tw.artin_schreier_preimage(tw.sub(u, v)), x, y)
 

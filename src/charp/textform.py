@@ -5,8 +5,8 @@ Element grammar (shared with the command line): integers, variable names,
 the generator symbol ``g``, a name no variable or generator may take over
 GF(p^d), d > 1.  Symbols are written ``[a, b)_p`` with an
 optional ``^op`` suffix; expressions join symbols with ``*``; towers are
-``GF(q)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t``; simple steps are
-``EXT j: j^2+(t)*j+(t^2) = 0``.
+``GF(q)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t``, Artin-Schreier and
+root steps only.
 
 Printing is canonical (graded lexicographic term order, normalized
 fractions), so parse(print(x)) reproduces x and print is injective on
@@ -131,35 +131,14 @@ def format_expr(e) -> str:
 def format_tower(t) -> str:
     head = "GF(%d)(%s)" % (t.base_field.order, ",".join(t.ring.variables))
     parts = [head]
-    p = t.p
+    from . import towers as tw
     for level in range(1, t.depth + 1):
         step = t.steps[level - 1]
+        rhs = format_elem(tw.step_defining_elem(t, level))
         if step.kind == "artin_schreier":
-            from . import towers as tw
-            a = tw.step_defining_elem(t, level)
-            lhs = _as_lhs(step.gen, p)
-            parts.append("AS %s: %s = %s" % (step.gen, lhs, format_elem(a)))
-        elif step.kind == "insep_root":
-            from . import towers as tw
-            b = tw.step_defining_elem(t, level)
-            parts.append("ROOT %s: %s^%d = %s" % (step.gen, step.gen, p, format_elem(b)))
+            parts.append("AS %s: %s = %s" % (step.gen, _as_lhs(step.gen, t.p), rhs))
         else:
-            from . import towers as tw
-            coeffs = [tw.Elem(t, level - 1, rep) for rep in step.data]
-            terms = []
-            for e in range(len(coeffs) - 1, -1, -1):
-                c = coeffs[e]
-                if c.is_zero():
-                    continue
-                mon = step.gen if e == 1 else ("%s^%d" % (step.gen, e) if e else "")
-                c_str = format_elem(c)
-                if e == len(coeffs) - 1:
-                    terms.append(mon)
-                elif mon:
-                    terms.append("(%s)*%s" % (c_str, mon))
-                else:
-                    terms.append("(%s)" % c_str)
-            parts.append("EXT %s: %s = 0" % (step.gen, "+".join(terms)))
+            parts.append("ROOT %s: %s^%d = %s" % (step.gen, step.gen, t.p, rhs))
     return " ; ".join(parts)
 
 
@@ -499,28 +478,21 @@ def parse_tower(text: str):
     for at, chunk in chunks[1:]:
         if not chunk:
             continue
-        m = re.match(r"(AS|ROOT|EXT)\s+([A-Za-z_]\w*)\s*:\s*(.*)$", chunk)
+        m = re.match(r"(AS|ROOT)\s+([A-Za-z_]\w*)\s*:\s*(.*)$", chunk)
         if m is None:
-            raise ParseError("expected 'AS g: ...', 'ROOT g: ...' or 'EXT g: ...'", at)
+            raise ParseError("expected 'AS g: ...' or 'ROOT g: ...'", at)
         kind_word, gen, body = m.group(1), m.group(2), m.group(3)
         lhs, _, rhs = body.partition("=")
+        if not rhs:
+            raise ParseError("missing '=' in step %r" % chunk, at)
+        want = _as_lhs(gen, p) if kind_word == "AS" else "%s^%d" % (gen, p)
+        if lhs.replace(" ", "") != want:
+            raise ParseError("step left side must be %r" % want, at)
         rhs_at = at + m.start(3) + len(lhs) + 1
-        if kind_word in ("AS", "ROOT"):
-            if not rhs:
-                raise ParseError("missing '=' in step %r" % chunk, at)
-            want = _as_lhs(gen, p) if kind_word == "AS" else "%s^%d" % (gen, p)
-            if lhs.replace(" ", "") != want:
-                raise ParseError(
-                    "step left side must be %r" % want, at)
-            data = _at_offset(rhs_at + len(rhs) - len(rhs.lstrip()), parse_element,
-                              rhs.strip(), tower, tower.depth)
-            kind = "artin_schreier" if kind_word == "AS" else "insep_root"
-            tower = tw.make_step(tower, kind, gen, data)
-        else:
-            if rhs.strip() != "0":
-                raise ParseError("simple steps end in '= 0'", at)
-            coeffs = _parse_simple_lhs(lhs, at + m.start(3), gen, tower)
-            tower = tw.make_step(tower, "simple", gen, coeffs)
+        data = _at_offset(rhs_at + len(rhs) - len(rhs.lstrip()), parse_element,
+                          rhs.strip(), tower, tower.depth)
+        kind = "artin_schreier" if kind_word == "AS" else "insep_root"
+        tower = tw.make_step(tower, kind, gen, data)
     return tower
 
 
@@ -531,47 +503,3 @@ def _at_offset(offset: int, parse, text: str, *args):
         return parse(text, *args)
     except ParseError as err:
         raise ParseError(err.message, offset + err.pos) from None
-
-
-def _parse_simple_lhs(lhs: str, offset: int, gen: str, tower) -> list:
-    from . import towers as tw
-    term_re = re.compile(
-        r"(?:\((?P<coeff>[^()]*(?:\([^()]*\)[^()]*)*)\)\*)?"
-        r"(?P<gen>%s)(?:\^(?P<exp>\d+))?$" % re.escape(gen))
-    level = tower.depth
-    coeffs: dict = {}
-    for at, piece in _split_top_level_plus(lhs):
-        at += offset + len(piece) - len(piece.lstrip())
-        piece = piece.strip()
-        m = term_re.fullmatch(piece)
-        if m is not None:
-            e = _int_token(m.group("exp"), at + m.end("exp")) if m.group("exp") else 1
-            _check_power_budget(e, at + m.start("exp"))
-            c_text, c_at = m.group("coeff") or "1", at + max(m.start("coeff"), 0)
-        else:
-            e = 0
-            wrapped = piece.startswith("(") and piece.endswith(")")
-            c_text, c_at = (piece[1:-1], at + 1) if wrapped else (piece, at)
-        if e in coeffs:
-            raise ParseError("repeated power %d in simple step" % e, at)
-        coeffs[e] = _at_offset(c_at, parse_element, c_text, tower, level)
-    degree = max(coeffs)
-    out = []
-    for e in range(degree + 1):
-        out.append(coeffs.get(e, tw.int_elem(tower, level, 0)))
-    return out
-
-
-def _split_top_level_plus(text: str) -> List[Tuple[int, str]]:
-    """The summands of ``text`` outside parentheses, each with its start."""
-    out, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            out.append((start, text[start:i]))
-            start = i + 1
-    out.append((start, text[start:]))
-    return out

@@ -1,10 +1,12 @@
 """Field extension towers over rational function fields.
 
-A tower starts from GF(p^d)(t_1, ..., t_m) and stacks extension steps:
+A tower starts from GF(p^d)(t_1, ..., t_m) and stacks extension steps of
+degree p:
 
 * ``artin_schreier``: adjoin i with i^p - i = a, for a not of that form below;
-* ``insep_root``: adjoin s with s^p = b, for b not a p-th power below;
-* ``simple``: adjoin a root of a given monic irreducible polynomial.
+* ``insep_root``: adjoin s with s^p = b, for b not a p-th power below.
+
+Both tests are exact, so every step polynomial is irreducible.
 
 An element of level k is stored as a dense coefficient vector over level
 k-1 (a polynomial in the top generator of degree below the step degree),
@@ -22,7 +24,7 @@ from .ffield import FiniteField, _PrimeField
 from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _normalize_lead,
                    _powmod_poly, factor_univariate, poly_divmod_1var, poly_exact_div,
                    poly_gcd, poly_inv_mod, poly_valuation, _solve_linear, _upoly_divmod,
-                   _upoly_eval, _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
+                   _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -35,8 +37,7 @@ class StepError(ValueError):
 
 class ExtStep:
     """One extension step; ``data`` is the representation of the defining
-    element (or the tuple of minimal polynomial coefficient representations
-    for simple steps), given at the level below the step."""
+    element, given at the level below the step."""
 
     __slots__ = ("kind", "gen", "data", "degree")
 
@@ -191,14 +192,9 @@ class LevelOps:
             return self._minpoly
         low = self._lower
         step = self.step
-        p = self.tower.p
+        coeffs = [low.neg(step.data)] + [low.zero] * (self.tower.p - 1) + [low.one]
         if step.kind == "artin_schreier":
-            coeffs = [low.neg(step.data)] + [low.zero] * (p - 1) + [low.one]
             coeffs[1] = low.sub(coeffs[1], low.one)
-        elif step.kind == "insep_root":
-            coeffs = [low.neg(step.data)] + [low.zero] * (p - 1) + [low.one]
-        else:
-            coeffs = list(step.data)
         self._minpoly = coeffs
         return coeffs
 
@@ -280,10 +276,7 @@ def gen_elem(tower: FieldTower, level: int) -> Elem:
 def step_defining_elem(tower: FieldTower, level: int) -> Elem:
     """The defining element of the step at ``level``, rebound to this tower
     (steps are shared between a tower and its extensions)."""
-    step = tower.step_at(level)
-    if step.kind == "simple":
-        raise ValueError("simple steps have no single defining element")
-    return Elem(tower, level - 1, step.data)
+    return Elem(tower, level - 1, tower.step_at(level).data)
 
 
 def rebind(x: Elem, tower: FieldTower) -> Elem:
@@ -396,10 +389,10 @@ def wp(a: Elem) -> Elem:
 def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
     """Extend a tower by one validated step.
 
-    ``data`` is the defining element (artin_schreier / insep_root) or a
-    little-endian monic list of lower-level Elems (simple).  Degenerate steps
-    are rejected with the reason in the exception message.  A simple step
-    g^p + c = 0 is the root step g^p = -c and is built as one.
+    ``data`` is the defining element, at or below the tower top.  A step
+    is degenerate exactly when ``artin_schreier_preimage`` (artin_schreier)
+    or ``pth_root_in_level`` (insep_root) finds one; degenerate steps are
+    rejected with the reason in the exception message.
     """
     if tower.depth >= MAX_DEPTH:
         raise StepError("tower nesting depth limit (%d) reached" % MAX_DEPTH)
@@ -413,16 +406,11 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         if a.level > tower.depth:
             raise StepError("defining element lives above the tower top")
         a = lift(a, tower.depth)
-        if as_exact(tower, tower.depth):
-            hit = artin_schreier_preimage(a)
-        else:  # a bounded probe for a root of X^p - X - a
-            coeffs = [neg(a)] + [int_elem(tower, tower.depth, n)
-                                 for n in [-1] + [0] * (p - 2) + [1]]
-            hit = _first_root(coeffs, _pool_candidates(tower))
+        hit = artin_schreier_preimage(a)
         if hit is not None:
             raise StepError(
                 "degenerate step: defining element equals w^%d - w for w = %r" % (p, hit))
-        degree, payload = p, a.rep
+        payload = a.rep
     elif kind == "insep_root":
         b = rebind(data, tower)
         if b.level > tower.depth:
@@ -434,91 +422,13 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         if root is not None:
             raise StepError(
                 "degenerate step: radicand is the %d-th power of %r" % (p, root))
-        degree, payload = p, b.rep
-    elif kind == "simple":
-        coeffs = [lift(rebind(c, tower), tower.depth) for c in data]
-        degree = len(coeffs) - 1
-        if degree < 2:
-            raise StepError("simple step needs degree >= 2")
-        ops = _ops(tower, tower.depth)
-        if coeffs[-1].rep != ops.one:
-            raise StepError("simple step polynomial must be monic")
-        if degree > 3:
-            raise StepError("simple steps above degree 3 are not supported")
-        if degree == p and all(c.is_zero() for c in coeffs[1:-1]):
-            # g^p + c = 0 is the root step g^p = -c
-            return make_step(tower, "insep_root", gen, neg(coeffs[0]))
-        if _has_root_at_level(tower, coeffs):
-            raise StepError("degenerate step: polynomial has a root at this level")
-        payload = tuple(c.rep for c in coeffs)
+        payload = b.rep
     else:
         raise StepError("unknown step kind %r" % kind)
-    if tower.degree_of_level(tower.depth) * degree > MAX_TOTAL_DEGREE:
+    if tower.degree_of_level(tower.depth) * p > MAX_TOTAL_DEGREE:
         raise StepError("tower degree limit (%d) exceeded" % MAX_TOTAL_DEGREE)
-    return _interned(tower.ring, tower.steps + (ExtStep(kind, gen, payload, degree),),
+    return _interned(tower.ring, tower.steps + (ExtStep(kind, gen, payload, p),),
                      tower)
-
-
-def _has_root_at_level(tower: FieldTower, coeffs: List[Elem]) -> bool:
-    """Root test for degree <= 3 polynomials at the tower top: exact over
-    the univariate base (rational root candidates from factored outer
-    coefficients), a bounded probe of the candidate pool elsewhere."""
-    if tower.depth == 0 and tower.ring.nvars == 1:
-        return _first_root(coeffs, _rational_root_candidates(tower, coeffs)) is not None
-    return _first_root(coeffs, _pool_candidates(tower)) is not None
-
-
-def _first_root(coeffs: List[Elem], candidates) -> Optional[Elem]:
-    """The first of the candidates at which the polynomial with the
-    little-endian coefficients ``coeffs`` vanishes, or None."""
-    ops = _ops(coeffs[0].tower, coeffs[0].level)
-    reps = [c.rep for c in coeffs]
-    return next((x for x in candidates if ops.is_zero(_upoly_eval(ops, reps, x.rep))), None)
-
-
-def _rational_root_candidates(tower: FieldTower, coeffs: List[Elem]):
-    """All n/d with n | numerator data of the constant coefficient and
-    d | denominator-cleared leading data, up to constants (exact for the
-    univariate base by the usual divisor argument)."""
-    ring = tower.ring
-    den_lcm = ring.one()
-    for c in coeffs:
-        den_lcm = den_lcm * c.rep.den
-    cleared = [c.rep.num * poly_exact_div(den_lcm, c.rep.den) for c in coeffs]
-    c0, lead = cleared[0], cleared[-1]
-    if c0.is_zero():
-        yield Elem(tower, 0, RatFunc.zero(ring))
-        return
-    nums = _monic_divisors(c0)
-    dens = _monic_divisors(lead)
-    consts = [c for c in tower.base_field.elements() if any(c)]
-    for n in nums:
-        for d in dens:
-            for c in consts:
-                yield Elem(tower, 0, RatFunc(n.scale(c), d))
-    yield Elem(tower, 0, RatFunc.zero(ring))
-
-
-def _monic_divisors(f: Poly) -> List[Poly]:
-    _, factors = factor_univariate(f)
-    out = [f.ring.one()]
-    for pi, mult in sorted(factors.items(), key=lambda kv: str(kv[0])):
-        out = [d * pi ** e for d in out for e in range(mult + 1)]
-    return out
-
-
-def _pool_candidates(tower: FieldTower):
-    """Constants, variables, their inverses and generators, at the top: a
-    miss among them proves nothing."""
-    level = tower.depth
-    for c in tower.base_field.elements():
-        yield const_elem(tower, c, level)
-    for name in tower.ring.variables:
-        v = var_elem(tower, name)
-        yield lift(v, level)
-        yield lift(Elem(tower, 0, v.rep.inv()), level)
-    for k in range(1, level + 1):
-        yield lift(gen_elem(tower, k), level)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +531,9 @@ def artin_schreier_preimage(a: Elem) -> Optional[Elem]:
     Base level: pole-order reduction at every place (univariate) or an exact
     semilinear solve (multivariate).  Above it, one coordinate of c at a
     time over the level below, through root and Artin-Schreier steps alike.
-    Where ``as_exact`` is false, None means undecided.
+    Exact on every tower: None means there is no such c.
     """
     return _memo_on_prefix("as_preimage", _as_preimage_uncached, a)
-
-
-def as_exact(tower: FieldTower, level: int) -> bool:
-    """Whether ``artin_schreier_preimage`` decides its question at ``level``:
-    no step at or below it is simple."""
-    return all(step.kind != "simple" for step in tower.steps[:level])
 
 
 def _as_preimage_uncached(a: Elem) -> Optional[Elem]:
@@ -644,8 +548,6 @@ def _as_preimage_uncached(a: Elem) -> Optional[Elem]:
     if level == 0:
         return _as_preimage_base(a)
     kind = tower.step_at(level).kind
-    if kind == "simple":
-        return None  # undecided: see as_exact
     ops, low, p = _ops(tower, level), _ops(tower, level - 1), tower.p
 
     def solve(j, c):
@@ -875,8 +777,7 @@ def _solve_norm_uncached(y: Elem, level_top: int, level_bottom: int,
         return y if not y.is_zero() else None
     if level_bottom > 0:
         return _solve_norm_shadow(y, level_top, level_bottom, degree_bound)
-    if (level_top == 1 and tower.p == 2
-            and tower.step_at(1).kind in ("artin_schreier", "insep_root")):
+    if level_top == 1 and tower.p == 2:
         return _solve_norm_char2_resolvent(y, degree_bound)
     basis = list(_iproduct(*(range(s.degree) for s in tower.steps[:level_top])))
     for height in range(degree_bound + 1):
@@ -1008,7 +909,7 @@ class _CyclicSieve:
 
 def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
                        degree_bound: int) -> Optional[Elem]:
-    """One non-simple step over a level above the base: solve the same norm
+    """One step over a level above the base: solve the same norm
     equation one step over a depth-zero shadow base, then map the witness's
     coordinates back.
 
@@ -1023,8 +924,6 @@ def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
     if level_top != level_bottom + 1:
         return None
     step = tower.step_at(level_top)
-    if step.kind == "simple":
-        return None
     from .rationalize import rationalize_level
     rz = rationalize_level(tower, level_bottom)
     if rz is not None:

@@ -98,29 +98,22 @@ def test_root_chain_above_the_base_separates_classes():
     assert tw.artin_schreier_preimage(tw.wp(u)) is not None
 
 
-def test_simple_step_is_undecided():
-    T = parse_tower("GF(2)(t) ; EXT j: j^3+j+1 = 0 ; ROOT s: s^2 = t")
-    assert tw.artin_schreier_preimage(tw.gen_elem(T, 2)) is None
-    assert not tw.as_exact(T, 2)
-
-
-SIMPLE = [
-    "GF(2)(t) ; EXT j: j^3+j+1 = 0 ; ROOT s: s^2 = t",
-    "GF(2)(t) ; ROOT s: s^2 = t ; EXT j: j^3+(s)*j+1 = 0",
+MIXED = [
+    "GF(2)(t) ; AS j: j^2+j = 1/t ; ROOT s: s^2 = j",
+    "GF(2)(t) ; ROOT s: s^2 = t ; AS j: j^2+j = 1/s",
 ]
 
 
-@pytest.mark.parametrize("text", RATIONAL + ROUND_TRIP + SIMPLE)
-def test_as_exact_is_where_the_preimage_of_wp_is_found(text):
-    # the test decides a level exactly when no simple step lies at or below it
+@pytest.mark.parametrize("text", RATIONAL + ROUND_TRIP + MIXED)
+def test_the_preimage_of_wp_is_found_at_every_level(text):
+    # the test is exact on every level built from root and Artin-Schreier steps
     T = parse_tower(text)
     rng = random.Random(text)
     for level in range(T.depth + 1):
-        simple = any(T.step_at(k).kind == "simple" for k in range(1, level + 1))
-        assert tw.as_exact(T, level) is not simple
         for _ in range(3):
-            back = tw.artin_schreier_preimage(tw.wp(rand_at(rng, T, level, max_deg=1)))
-            assert (back is not None) is not simple
+            c = rand_at(rng, T, level, max_deg=1)
+            back = tw.artin_schreier_preimage(tw.wp(c))
+            assert back is not None and _differs_by_prime_constant(back, c)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +151,11 @@ def test_make_step_accepts_a_proper_artin_schreier_step():
      0, "split: b-slot is a norm of one\n", ""),
     (["splits", "--tower", "GF(2)(t) ; EXT j: j^3+j+1 = 0", "--level", "1",
       "--strategy", "norm_search", "--bound", "2", "[1/t, t)_2"],
-     0, "split: norm witness; witness t*w\n", ""),
-    (["splits", "--tower", "GF(2)(t) ; EXT j: j^2+t = 0", "--level", "1", "[1/t, j)_2"],
+     1, "", "error: expected 'AS g: ...' or 'ROOT g: ...' (at position 11)\n"),
+    (["splits", "--tower", "GF(2)(t) ; ROOT j: j^2 = t", "--level", "1", "[1/t, j)_2"],
      0, "split: norm witness; witness 1+j*w\n", ""),
-], ids=["root-radicand-above-base", "root-undecided", "simple-step-probe",
-        "simple-step-in-g-p"])
+], ids=["root-radicand-above-base", "root-undecided", "ext-step-is-a-parse-error",
+        "root-step-norm-witness"])
 def test_cli_outputs(argv, code, out, err, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -138,20 +138,21 @@ def test_bool_is_not_an_entry_index(f2t):
     assert not out2.accepted and out2.malformed
 
 
-# A cubic with the root t1+t2: the step is reducible, so j+t1+t2 is a zero
-# divisor and has no inverse.
+# A cubic with the root t1+t2, so j+t1+t2 would be a zero divisor.  Towers
+# have Artin-Schreier and root steps only, and the parser refuses the step.
 REDUCIBLE_TOWER = "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0"
 ZERO_DIVISOR_ENTRY = "[1/(j+t1+t2), t1)_2"
+EXT_REFUSED = "bad tower: expected 'AS g: ...' or 'ROOT g: ...' (at position 15)"
 
 
-def test_arithmetic_failure_in_a_step_is_malformed():
+def test_a_tower_with_an_ext_step_is_malformed():
     step = CertStep("Reorder", 1, 1, [ZERO_DIVISOR_ENTRY], [ZERO_DIVISOR_ENTRY],
                     {"perm": [0]})
     out = verify_certificate(Certificate(REDUCIBLE_TOWER, 2, [step]))
-    assert not out.accepted and out.malformed and out.failed_step == 0
-    assert "reducible" in out.reason
-    # the same division inside the tower text itself
+    assert not out.accepted and out.malformed and out.failed_step is None
+    assert out.reason == EXT_REFUSED
+    # a step that divides by j+t1+t2 in the tower text is never reached
     tower = REDUCIBLE_TOWER + " ; AS k: k^2+k = 1/(j+t1+t2)"
     out = verify_certificate(Certificate(tower, 2, []))
     assert not out.accepted and out.malformed and out.failed_step is None
-    assert out.reason.startswith("bad tower: ")
+    assert out.reason == EXT_REFUSED

@@ -1,13 +1,15 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from charp.cli import main
+from charp.cli import GRAMMAR_HELP, main
+from charp.textform import ParseError, parse_tower
 
 
 def run(capsys, *argv):
@@ -200,16 +202,16 @@ def test_verify_reports_forged_and_wrong_typed_steps_as_malformed(tmp_path, caps
     ["invariants", "--expr", "[1/(j+t1+t2), t1)_2"],
     ["splits", "--strategy", "invariants", "[1/(j+t1+t2), t1)_2"],
 ])
-def test_arithmetic_failure_is_an_error_not_a_traceback(command):
-    # the zero divisor of the certificate test above, met while parsing the
-    # symbol
+def test_a_tower_with_an_ext_step_is_an_error_not_a_traceback(command):
+    # the cubic has the root t1+t2, so j+t1+t2 would be a zero divisor; the
+    # parser refuses the step before any arithmetic
     proc = _run_subprocess(
         command[0], "--tower",
         "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0",
         "--level", "1", *command[1:])
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "error: step relation is reducible; tower arithmetic is inconsistent"]
+        "error: expected 'AS g: ...' or 'ROOT g: ...' (at position 15)"]
     assert "Traceback" not in proc.stderr
 
 
@@ -228,9 +230,8 @@ def test_verify_reports_a_missing_step_field_without_traceback(tmp_path, capsys)
     assert err.strip() == "error: malformed certificate: KeyError: 'level_before'"
 
 
-def test_verify_reports_arithmetic_failure_as_malformed(tmp_path, capsys):
-    # the step's cubic has the root t1+t2, so 1/(j+t1+t2) divides by a zero
-    # divisor
+def test_verify_reports_a_tower_with_an_ext_step_as_malformed(tmp_path, capsys):
+    # the step's cubic has the root t1+t2; the tower text is refused
     entry = "[1/(j+t1+t2), t1)_2"
     doc = {"p": 2, "tower": "GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0",
            "steps": [{"kind": "Reorder", "level_before": 1, "level_after": 1,
@@ -239,5 +240,21 @@ def test_verify_reports_arithmetic_failure_as_malformed(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(path))
-    assert code == 1 and out.startswith("malformed at step 0: ")
+    assert code == 1 and out == (
+        "malformed: bad tower: expected 'AS g: ...' or 'ROOT g: ...' (at position 15)\n")
     assert "Traceback" not in err
+
+
+def test_the_grammar_help_names_exactly_the_step_keywords_the_parser_accepts():
+    help_text = " ".join(GRAMMAR_HELP.split())
+    named = re.findall(r"; ([A-Z]+) [a-z]\w*:", help_text)
+    assert named == ["AS", "ROOT"]
+    # the help's tower example parses, one step of each kind
+    example = re.search(r"towers: (GF\(q\)\(t\)[^,]*),", help_text).group(1)
+    tower = parse_tower(example.replace("GF(q)", "GF(2)"))
+    assert [step.kind for step in tower.steps] == ["artin_schreier", "insep_root"]
+    # any other keyword is refused, by a message naming the same keywords
+    for word in ["EXT", "SIMPLE", "Root", "as"]:
+        with pytest.raises(ParseError) as err:
+            parse_tower("GF(2)(t) ; %s j: j^2 = t" % word)
+        assert re.findall(r"'([A-Z]+) g: \.\.\.'", err.value.message) == named

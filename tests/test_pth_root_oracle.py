@@ -31,9 +31,9 @@ SHAPES = [
     "GF(2)(t) ; AS i: i^2+i = 1/t ; ROOT s: s^2 = t*i",
     "GF(3)(t) ; AS i: i^3+2*i = t ; ROOT s: s^3 = i",
     "GF(2)(t1,t2) ; AS i: i^2+i = 1/t1 ; ROOT s: s^2 = t1*i",
-    # a simple step below and above a root
-    "GF(2)(t) ; EXT j: j^3+(t)*j+1 = 0 ; ROOT s: s^2 = j",
-    "GF(2)(t) ; ROOT s: s^2 = t ; EXT j: j^3+(s)*j+1 = 0",
+    # an Artin-Schreier step under the root's radicand, and one above a root
+    "GF(2)(t) ; AS j: j^2+j = t ; ROOT s: s^2 = j",
+    "GF(2)(t) ; ROOT s: s^2 = t ; AS j: j^2+j = s",
     # multivariate chains
     "GF(2)(t1,t2) ; ROOT r: r^2 = t1 ; ROOT u: u^2 = t2",
     "GF(2)(t1,t2) ; ROOT r: r^2 = t1 ; ROOT u: u^2 = r",
@@ -124,11 +124,11 @@ def test_a_root_step_over_six_artin_schreier_steps_is_checked_at_its_radicands_l
 
 
 @pytest.mark.parametrize("text, root", [
-    ("GF(2)(t) ; EXT j: j^2+t = 0", "j"),
-    ("GF(3)(t) ; EXT j: j^3+t = 0", "2*j"),
+    ("GF(2)(t) ; ROOT j: j^2 = t", "j"),
+    ("GF(3)(t) ; ROOT j: j^3 = 2*t", "2*j"),
 ])
-def test_an_inseparable_simple_step_makes_the_base_p_th_powers(text, root):
-    # g^p + t = 0 has zero derivative, so t, a non-p-th power below, is one above
+def test_a_root_step_makes_the_base_p_th_powers(text, root):
+    # t, a non-p-th power below the step, is the p-th power of a multiple of j
     T = parse_tower(text)
     t = tw.var_elem(T, "t")
     assert tw.pth_root_in_level(t) is None

@@ -74,7 +74,7 @@ def test_tower_round_trips():
         "GF(3)(t) ; AS i: i^3+2*i = 1/t",
         "GF(4)(t) ; ROOT s: s^2 = t^3+g",
         "GF(2)(t1,t2) ; ROOT r: r^2 = t1",
-        "GF(2)(t) ; EXT j: j^2+(t)*j+(t^2) = 0",
+        "GF(3)(t) ; ROOT r: r^3 = 2*t ; AS i: i^3+2*i = r",
     ]
     for text in texts:
         T = parse_tower(text)
@@ -137,10 +137,10 @@ def test_expression_error_message_and_position(f2t):
     # a step body's error counts from the start of the tower text
     ("GF(2)(t) ; AS i: i^2+i = 1/(t-t)", "division by zero", 27),
     ("GF(2)(t) ; ROOT s: s^2 = x", "unknown variable 'x'", 26),
-    ("GF(2)(t) ; ROOT s: s^2 = t ; EXT j: j^3+(t/0)*j+(1) = 0", "division by zero", 43),
+    ("GF(2)(t) ; ROOT s: s^2 = t ; AS j: j^2+j = (t/0)*s", "division by zero", 46),
     # the tower parser's own errors sit at the start of their step
     ("GF(2)(t) ; ROOT s: s^2 = t ; FOO j: j^2 = t",
-     "expected 'AS g: ...', 'ROOT g: ...' or 'EXT g: ...'", 29),
+     "expected 'AS g: ...' or 'ROOT g: ...'", 29),
     ("GF(2)(t) ; ROOT s: s^2", "missing '=' in step 'ROOT s: s^2'", 11),
     ("GF(2)(t) ;  AS i: i^2+1 = 1/t", "step left side must be 'i^2+i'", 12),
 ])
@@ -190,19 +190,23 @@ def test_tower_reads_the_largest_prime_below_the_cap():
     assert (field.p, field.d) == (4294967291, 1) and 4294967291 < MAX_FIELD_SIZE
 
 
-def test_simple_step_power_above_the_budget_fails_before_building_it():
+@pytest.mark.parametrize("text, pos", [
+    # a cubic with the root t1+t2, which the parser used to accept
+    ("GF(2)(t1,t2) ; EXT j: j^3+(t1+t2+1)*j^2+(t2)*j+(t1^2+t1*t2) = 0", 15),
+    # the root step j^2 = t in disguise
+    ("GF(2)(t) ; EXT j: j^2+t = 0", 11),
+    # degrees above p, within the power budget and above it
+    ("GF(2)(t) ; EXT j: j^%d+(t)*j+(t) = 0" % tw.MAX_POWER_DEGREE, 11),
+    ("GF(2)(t) ; EXT j: j^100000+(t)*j+(t) = 0", 11),
+    ("GF(2)(t) ; ROOT s: s^2 = t ;  EXT j: j^3+j+1 = 0", 30),
+], ids=["root-at-t1-plus-t2", "root-step", "degree-256", "degree-100000", "second-step"])
+def test_an_ext_step_is_a_parse_error_at_its_chunk(text, pos):
+    # towers have Artin-Schreier and root steps only; the body is never read
     start = time.perf_counter()
     with pytest.raises(ParseError) as err:
-        parse_tower("GF(2)(t) ; EXT j: j^100000+(t)*j+(t) = 0")
+        parse_tower(text)
     assert time.perf_counter() - start < 0.1
-    assert str(err.value) == "power above the degree budget %d (at position 20)" % (
-        tw.MAX_POWER_DEGREE)
-
-
-@pytest.mark.parametrize("e", [4, tw.MAX_POWER_DEGREE])
-def test_simple_step_within_the_budget_keeps_its_degree_error(e):
-    with pytest.raises(tw.StepError, match="simple steps above degree 3 are not supported"):
-        parse_tower("GF(2)(t) ; EXT j: j^%d+(t)*j+(t) = 0" % e)
+    assert str(err.value) == "expected 'AS g: ...' or 'ROOT g: ...' (at position %d)" % pos
 
 
 LONG_DIGITS = "1" * 5000  # above Python's limit for int() on a string
@@ -212,8 +216,8 @@ LONG_DIGITS = "1" * 5000  # above Python's limit for int() on a string
     ("GF(2)(t)", parse_element, LONG_DIGITS + "*t", 0),
     ("GF(2)(t)", parse_element, "t^ " + LONG_DIGITS, 3),
     ("GF(2)(t)", parse_symbol, "[1, t)_" + LONG_DIGITS, 7),
-    (None, parse_tower, "GF(2)(t) ; EXT j: j^" + LONG_DIGITS + "+(t)*j+(t) = 0", 20),
-], ids=["literal", "exponent", "symbol-prime", "simple-step-exponent"])
+    (None, parse_tower, "GF(2)(t) ; ROOT s: s^2 = t^" + LONG_DIGITS, 27),
+], ids=["literal", "exponent", "symbol-prime", "step-exponent"])
 def test_integer_tokens_above_the_digit_limit_fail_at_their_position(tower, parse, text, pos):
     args = () if tower is None else (parse_tower(tower),)
     with pytest.raises(ParseError) as err:

@@ -6,7 +6,7 @@ from conftest import rand_elem, rand_ratfunc
 from charp.ffield import FiniteField
 from charp.poly import RatFunc
 from charp import poly, towers as tw
-from charp.textform import format_elem, format_tower, parse_element, parse_tower
+from charp.textform import format_elem, parse_element, parse_tower
 
 
 def test_artin_schreier_constant_extension(f2t):
@@ -61,36 +61,25 @@ def test_generator_g_is_reserved_over_extended_constants(f2t, f4t):
     assert tw.FieldTower(FiniteField(2), ["g"]).ring.variables == ("g",)
 
 
-def test_simple_step_roundtrip(f2t):
-    T = parse_tower("GF(2)(t) ; EXT j: j^2+(t)*j+(t^2) = 0")
-    j = tw.gen_elem(T, 1)
-    mp = tw.min_poly(j, 0)
-    assert format_elem(mp[1]) == "t" and format_elem(mp[0]) == "t^2"
-    with pytest.raises(tw.StepError):
-        # X^2 + tX has the root 0
-        tw.make_step(f2t, "simple", "j",
-                     [tw.int_elem(f2t, 0, 0), tw.var_elem(f2t, "t"),
-                      tw.int_elem(f2t, 0, 1)])
+def test_make_step_knows_artin_schreier_and_root_steps_only(f2t):
+    one = tw.int_elem(f2t, 0, 1)
+    with pytest.raises(tw.StepError, match="unknown step kind 'simple'"):
+        tw.make_step(f2t, "simple", "j", [one, one, one])
 
 
-@pytest.mark.parametrize("text, printed", [
-    ("GF(2)(t) ; EXT j: j^2+t = 0", "GF(2)(t) ; ROOT j: j^2 = t"),
-    ("GF(3)(t) ; EXT j: j^3+t = 0", "GF(3)(t) ; ROOT j: j^3 = 2*t"),
-])
-def test_simple_step_in_g_p_is_a_root_step(text, printed):
-    T = parse_tower(text)
-    assert T.step_at(1).kind == "insep_root" and format_tower(T) == printed
-
-
-def test_simple_step_degree_checked_before_root_search(f2t, monkeypatch):
-    def no_search(*args):
-        raise AssertionError("root search ran on an unsupported degree")
-
-    monkeypatch.setattr(tw, "_has_root_at_level", no_search)
-    # X^4 + X + 1, irreducible over GF(2)
-    coeffs = [tw.int_elem(f2t, 0, c) for c in (1, 1, 0, 0, 1)]
-    with pytest.raises(tw.StepError, match="above degree 3"):
-        tw.make_step(f2t, "simple", "j", coeffs)
+def test_inverting_a_zero_divisor_of_a_reducible_step_is_an_arithmetic_error(f2t, monkeypatch):
+    # X^2 - X - w(t) has the root t, so make_step refuses it; a step built
+    # around make_step has zero divisors, and the inverse says so
+    monkeypatch.setattr(tw, "_TOWERS", {})
+    t = tw.var_elem(f2t, "t")
+    with pytest.raises(tw.StepError, match="degenerate step"):
+        tw.make_step(f2t, "artin_schreier", "j", tw.wp(t))
+    step = tw.ExtStep("artin_schreier", "j", tw.wp(t).rep, 2)
+    T = tw._interned(f2t.ring, (step,), f2t)
+    factor = tw.sub(tw.gen_elem(T, 1), tw.var_elem(T, "t", 1))  # j - t
+    assert not factor.is_zero()
+    with pytest.raises(ArithmeticError, match="step relation is reducible"):
+        tw.div(tw.int_elem(T, 1, 1), factor)
 
 
 def test_min_poly_examples(f2t):
@@ -339,9 +328,9 @@ def test_towers_are_interned(f2t):
     assert parse_tower(text) is T
     assert tw.FieldTower(FiniteField(2), ["t"]) is f2t
     assert tw.truncate(T, 0) is f2t
-    one, zero = tw.int_elem(T, 2, 1), tw.int_elem(T, 2, 0)
-    U = tw.make_step(T, "simple", "j", [one, one, zero, one])   # j^3 + j + 1
+    U = tw.make_step(T, "artin_schreier", "j", tw.gen_elem(T, 2))   # j^2 + j = s
     assert tw.truncate(U, T.depth) is T
+    assert tw.make_step(T, "artin_schreier", "j", tw.gen_elem(T, 2)) is U
 
 
 def test_rebind_rejects_a_different_step_prefix():
