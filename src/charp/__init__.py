@@ -2,7 +2,7 @@
 exact arithmetic, local invariants, certified descent, length bounds."""
 
 from .ffield import FiniteField
-from .poly import Poly, PolyRing, RatFunc, factor_univariate, normalize
+from .poly import Poly, PolyRing, RatFunc, factor_univariate
 from .towers import (Elem, FieldTower, StepError, make_step, min_poly, norm,
                      solve_norm)
 from .symbols import BrauerExpr, Symbol, merge_same_a, normalize_symbol, reduce_expr
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteField", "Poly", "PolyRing", "RatFunc", "factor_univariate",
-    "normalize", "Elem", "FieldTower", "StepError", "make_step", "min_poly",
-    "norm", "solve_norm", "BrauerExpr", "Symbol", "merge_same_a",
+    "Elem", "FieldTower", "StepError", "make_step", "min_poly", "norm",
+    "solve_norm", "BrauerExpr", "Symbol", "merge_same_a",
     "normalize_symbol", "reduce_expr", "InvariantVector", "Place",
     "index_exponent", "expr_invariants", "is_split", "realize", "Certificate",
     "CertBuilder", "verify_certificate", "DescentError", "InsepTower",

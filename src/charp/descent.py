@@ -413,8 +413,7 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
     y_p = tw.descend(tw.power(y, p), f_level)
     base = tw.truncate(tower, f_level)
     ext = tw.make_step(base, "artin_schreier", tw.fresh_gen_name(base, "w"), x_p)
-    z_prime = tw.solve_norm(tw.rebind(y_p, ext), f_level + 1, f_level,
-                            cfg.norm_bound)
+    z_prime = tw.solve_norm(tw.rebind(y_p, ext), cfg.norm_bound)
     if z_prime is None:
         raise DescentError(
             "no norm witness for the pushed radical slot within degree bound %d"
@@ -465,12 +464,9 @@ def reduce_to_cyclic_step(A: BrauerExpr, K: InsepTower, cyclic_data: Symbol,
 def _hypothesis_label(A: BrauerExpr, cyclic: Symbol, top: int) -> CheckLabel:
     claim = "the class over the tower is equivalent to the supplied cyclic symbol"
     test = A.lift_to(top).tensor(BrauerExpr(cyclic.tower, top, [cyclic]).op())
-    if rationalize_level(test.tower, top) is not None:
-        if not expr_invariants(test).is_zero():
-            raise SplitHypothesisError(
-                "cyclic data does not match the class over the tower")
-        return CheckLabel(claim, "oracle")
-    reduced = reduce_expr(test, norm_bound=ELEMENTARY_NORM_BOUND)
-    if reduced.is_empty():
-        return CheckLabel(claim, "witness")
+    verdict = expr_is_split(test, degree_bound=ELEMENTARY_NORM_BOUND)
+    if verdict.status == "nonsplit":
+        raise SplitHypothesisError("cyclic data does not match the class over the tower")
+    if verdict.is_split:
+        return CheckLabel(claim, "oracle" if verdict.vector is not None else "witness")
     return CheckLabel(claim, "assumed")

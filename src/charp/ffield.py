@@ -27,10 +27,9 @@ and built on first use, with ``encode`` and ``decode`` to and from tuples:
   Euclid.
 
 All polynomial arithmetic over GF(p) here (the modulus search by Rabin's
-test, the table build, the reduction in ``from_coeffs`` and the fields
-above TABLE_LIMIT) is that kernel driven by ``_PrimeField``.  The kernel is
-imported inside the functions that use it, since ``poly`` imports this
-module.
+test, the table build and the fields above TABLE_LIMIT) is that kernel
+driven by ``_PrimeField``.  The kernel is imported inside the functions
+that use it, since ``poly`` imports this module.
 """
 
 from __future__ import annotations
@@ -279,13 +278,6 @@ class FiniteField:
 
     def from_int(self, n: int) -> FFElem:
         return ((n % self.p),) + (0,) * (self.d - 1)
-
-    def from_coeffs(self, coeffs) -> FFElem:
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.d:
-            from .poly import _upoly_divmod
-            c = _upoly_divmod(_PrimeField(self.p), c, self.modulus)[1]
-        return tuple(c) + (0,) * (self.d - len(c))
 
     def elements(self) -> Iterator[FFElem]:
         """All field elements in base-p counting order."""

@@ -864,11 +864,6 @@ def _coprime(num: Poly, den: Poly) -> RatFunc:
     return RatFunc(*_monic_den(num, den), reduce=False)
 
 
-def normalize(num: Poly, den: Poly) -> RatFunc:
-    """Reduced, canonically normalized fraction equal to num/den."""
-    return RatFunc(num, den)
-
-
 # ---------------------------------------------------------------------------
 # univariate factorization (distinct-degree, then equal-degree splitting)
 # ---------------------------------------------------------------------------
@@ -937,25 +932,25 @@ def _split_squarefree(f: Poly, rng: random.Random) -> list[Poly]:
     return out
 
 
-def factor_univariate(f: Poly, seed: int = 0) -> Tuple[FFElem, Dict[Poly, int]]:
+def factor_univariate(f: Poly) -> Tuple[FFElem, Dict[Poly, int]]:
     """Factor a nonzero univariate polynomial.
 
     Returns (leading coefficient, {monic irreducible: multiplicity}); the
     product of the factors times the leading coefficient equals f.  The
-    random choices of equal-degree splitting are driven by the seed, so the
-    output is reproducible; it is memoized on the ring per polynomial and
-    seed, and every call returns a fresh dict.
+    random choices of equal-degree splitting come from a fixed seed, so the
+    output is reproducible; it is memoized on the ring per polynomial, and
+    every call returns a fresh dict.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.ring.nvars != 1:
         raise ValueError("factor_univariate needs a univariate polynomial")
-    lc, factors = _memo(f.ring, ("factor", f, seed), lambda: _factor_frozen(f, seed))
+    lc, factors = _memo(f.ring, ("factor", f), lambda: _factor_frozen(f))
     return lc, dict(factors)
 
 
-def _factor_frozen(f: Poly, seed: int) -> Tuple[FFElem, Tuple[Tuple[Poly, int], ...]]:
-    rng = random.Random(seed)
+def _factor_frozen(f: Poly) -> Tuple[FFElem, Tuple[Tuple[Poly, int], ...]]:
+    rng = random.Random(0)
     lc = f.leading_coeff()
     f = _normalize_lead(f)
     factors: Dict[Poly, int] = {}

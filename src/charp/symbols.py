@@ -349,15 +349,15 @@ def _norm_search_bound(tower: FieldTower, degree_bound: int) -> int:
 
 
 def norm_witness(s: Symbol, degree_bound: int) -> Optional[Elem]:
-    """A z in the Artin-Schreier extension by the a slot whose norm is the b
-    slot, or None within the bound, clamped by ``_norm_search_bound``;
-    deeper searches are the callers' call.  ``solve_norm`` memoizes the
-    search on the extension."""
+    """A z in the Artin-Schreier extension by the a slot, one step above
+    the symbol's level, whose norm is the b slot, or None within the bound,
+    clamped by ``_norm_search_bound``; deeper searches are the callers'
+    call.  ``solve_norm`` searches that one step and memoizes the search on
+    the extension."""
     ext = splitting_extension(s)
     if ext is None:
         return None  # trivial a slot: handled by normalization instead
-    return tw.solve_norm(tw.rebind(s.b, ext), s.level + 1, s.level,
-                         _norm_search_bound(s.tower, degree_bound))
+    return tw.solve_norm(tw.rebind(s.b, ext), _norm_search_bound(s.tower, degree_bound))
 
 
 def reduce_expr(expr: BrauerExpr, recorder=None, norm_bound: int = 0) -> BrauerExpr:

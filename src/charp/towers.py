@@ -9,16 +9,20 @@ degree p:
 Both tests are exact, so every step polynomial is irreducible.
 
 An element of level k is stored as a dense coefficient vector over level
-k-1 (a polynomial in the top generator of degree below the step degree),
-bottoming out in reduced rational functions.  That normal form is unique,
-so equality is structural.
+k-1 (a polynomial in the top generator of degree below p), bottoming out
+in reduced rational functions.  That normal form is unique, so equality
+is structural.
+
+A norm equation N(z) = y asks for z one step above y.  Over a root step
+K = F(b^(1/p)) we have K^p in F, so N(z) = z^p and the p-th root test
+answers it exactly; over an Artin-Schreier step it is a bounded search.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product as _iproduct
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ffield import FiniteField, _PrimeField
 from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _normalize_lead,
@@ -35,20 +39,13 @@ class StepError(ValueError):
     """A proposed extension step violates its invariants."""
 
 
-class ExtStep:
-    """One extension step; ``data`` is the representation of the defining
-    element, given at the level below the step."""
+class ExtStep(NamedTuple):
+    """One extension step, of degree p; ``data`` is the representation of
+    the defining element, given at the level below the step."""
 
-    __slots__ = ("kind", "gen", "data", "degree")
-
-    def __init__(self, kind: str, gen: str, data, degree: int):
-        self.kind = kind
-        self.gen = gen
-        self.data = data
-        self.degree = degree
-
-    def __repr__(self) -> str:
-        return "ExtStep(%s, %s, deg=%d)" % (self.kind, self.gen, self.degree)
+    kind: str
+    gen: str
+    data: object
 
 
 # The tower registry, signature -> tower.  Not weak: memo hits come mostly
@@ -81,12 +78,6 @@ class FieldTower:
     def depth(self) -> int:
         return len(self.steps)
 
-    def degree_of_level(self, level: int) -> int:
-        d = 1
-        for step in self.steps[:level]:
-            d *= step.degree
-        return d
-
     def step_at(self, level: int) -> ExtStep:
         if level < 1 or level > self.depth:
             raise ValueError("no step at level %d" % level)
@@ -104,8 +95,8 @@ class FieldTower:
         """A hashable fingerprint of the tower below a level: the key of the
         tower registry."""
         upto = self.depth if level is None else level
-        parts = tuple((s.kind, s.gen, s.degree, s.data) for s in self.steps[:upto])
-        return (self.base_field.p, self.base_field.d, self.ring.variables, parts)
+        return (self.base_field.p, self.base_field.d, self.ring.variables,
+                self.steps[:upto])
 
 
 def _interned(ring: PolyRing, steps: Tuple[ExtStep, ...],
@@ -157,46 +148,34 @@ class LevelOps:
     def __init__(self, tower: FieldTower, level: int):
         self.tower = tower
         self.level = level
-        self._minpoly = None
         if level == 0:
             self._lower = None
-            self.step = None
             self.zero = RatFunc.zero(tower.ring)
             self.one = RatFunc.one(tower.ring)
         else:
             low = self._lower = _ops(tower, level - 1)
-            self.step = tower.step_at(level)
-            self.zero = (low.zero,) * self.step.degree
+            step = tower.step_at(level)
+            self.zero = (low.zero,) * tower.p
             self.one = self.lift(low.one)
+            # the monic step polynomial over the level below, little-endian
+            self.minpoly = [low.neg(step.data)] + [low.zero] * (tower.p - 1) + [low.one]
+            if step.kind == "artin_schreier":
+                self.minpoly[1] = low.sub(self.minpoly[1], low.one)
 
     # representation helpers ------------------------------------------------
 
     def lift(self, lower_rep):
         """Embed a level-(k-1) representation into level k."""
-        return (lower_rep,) + (self._lower.zero,) * (self.step.degree - 1)
+        return (lower_rep,) + (self._lower.zero,) * (self.tower.p - 1)
 
     def gen_rep(self):
-        e = self.step.degree
         return ((self._lower.zero, self._lower.one)
-                + (self._lower.zero,) * (e - 2))
+                + (self._lower.zero,) * (self.tower.p - 2))
 
     def is_zero(self, a) -> bool:
         if self.level == 0:
             return a.is_zero()
         return all(self._lower.is_zero(c) for c in a)
-
-    def minpoly_lower(self) -> list:
-        """Defining polynomial coefficients (little-endian, monic) over the
-        level below; cached."""
-        if self._minpoly is not None:
-            return self._minpoly
-        low = self._lower
-        step = self.step
-        coeffs = [low.neg(step.data)] + [low.zero] * (self.tower.p - 1) + [low.one]
-        if step.kind == "artin_schreier":
-            coeffs[1] = low.sub(coeffs[1], low.one)
-        self._minpoly = coeffs
-        return coeffs
 
     # arithmetic -------------------------------------------------------------
 
@@ -219,8 +198,8 @@ class LevelOps:
         if self.level == 0:
             return a * b
         low = self._lower
-        prod = _upoly_divmod(low, _upoly_mul(low, a, b), self.minpoly_lower())[1]
-        return tuple(prod) + (low.zero,) * (self.step.degree - len(prod))
+        prod = _upoly_divmod(low, _upoly_mul(low, a, b), self.minpoly)[1]
+        return tuple(prod) + (low.zero,) * (self.tower.p - len(prod))
 
     def inv(self, a):
         if self.level == 0:
@@ -230,11 +209,11 @@ class LevelOps:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero at level %d" % self.level)
         try:
-            out = _upoly_inv_mod(self._lower, list(a), self.minpoly_lower())
+            out = _upoly_inv_mod(self._lower, list(a), self.minpoly)
         except ZeroDivisionError:
             raise ArithmeticError(
                 "step relation is reducible; tower arithmetic is inconsistent") from None
-        return tuple(out) + (self._lower.zero,) * (self.step.degree - len(out))
+        return tuple(out) + (self._lower.zero,) * (self.tower.p - len(out))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -425,10 +404,9 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         payload = b.rep
     else:
         raise StepError("unknown step kind %r" % kind)
-    if tower.degree_of_level(tower.depth) * p > MAX_TOTAL_DEGREE:
+    if p ** (tower.depth + 1) > MAX_TOTAL_DEGREE:
         raise StepError("tower degree limit (%d) exceeded" % MAX_TOTAL_DEGREE)
-    return _interned(tower.ring, tower.steps + (ExtStep(kind, gen, payload, p),),
-                     tower)
+    return _interned(tower.ring, tower.steps + (ExtStep(kind, gen, payload),), tower)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +459,7 @@ def _frobenius_columns(tower: FieldTower) -> Tuple[list, list]:
     """The generator exponent vectors e of the top level of ``tower`` and,
     for each, ``_p_coordinates`` of (g^e)^p.  Memoized on the tower."""
     def build():
-        exps = list(_iproduct(*(range(s.degree) for s in tower.steps)))
+        exps = list(_iproduct(range(tower.p), repeat=tower.depth))
         one = RatFunc.one(tower.ring)
         monomials = (_from_coordinates(tower, tower.depth, {e: one}) for e in exps)
         return exps, [_p_coordinates(power(g, tower.p)) for g in monomials]
@@ -713,7 +691,7 @@ def _from_coordinates(tower: FieldTower, level: int, coords: dict) -> Elem:
         if lvl == 0:
             return coords.get(suffix, zero)
         return tuple(build(lvl - 1, (e,) + suffix)
-                     for e in range(tower.step_at(lvl).degree))
+                     for e in range(tower.p))
 
     return Elem(tower, level, build(level, ()))
 
@@ -728,7 +706,7 @@ def min_poly(x: Elem, down_to: int) -> List[Elem]:
     ops = _ops(tower, down_to)
     xk = int_elem(tower, x.level, 1)
     columns = [_coordinates(xk, down_to)]
-    for _ in range(tower.degree_of_level(x.level) // tower.degree_of_level(down_to)):
+    for _ in range(tower.p ** (x.level - down_to)):
         xk = mul(xk, x)
         target = _coordinates(xk, down_to)
         sol = _solve_columns(ops, columns, target)
@@ -751,67 +729,59 @@ def norm(x: Elem, down_to: int = 0) -> Elem:
         ops = _ops(tower, lvl)
         low = ops._lower
         g = _upoly_trim(low, list(cur.rep))
-        res = _upoly_resultant(low, ops.minpoly_lower(), g)
+        res = _upoly_resultant(low, ops.minpoly, g)
         cur = Elem(tower, lvl - 1, res)
     return cur
 
 
-def solve_norm(y: Elem, level_top: int, level_bottom: int = 0,
-               degree_bound: int = 4) -> Optional[Elem]:
-    """Search z at ``level_top`` with Norm down to ``level_bottom`` equal to
-    y; candidate coordinates are base fractions with numerator and
-    denominator degrees at most ``degree_bound``.  Returns the first hit in
-    canonical enumeration order, or None once the space is exhausted ("not
-    found within the bound" is a value, not an error).  A bottom above the
-    base goes through ``_solve_norm_shadow``.  Memoized on y's tower, per
-    levels, y at ``level_bottom`` and bound, a None included."""
-    y = descend(y, level_bottom) if y.level > level_bottom else lift(y, level_bottom)
-    return _memo(y.tower, ("solve_norm", level_top, level_bottom, y.rep, degree_bound),
-                 lambda: _solve_norm_uncached(y, level_top, level_bottom, degree_bound))
+def solve_norm(y: Elem, degree_bound: int = 4) -> Optional[Elem]:
+    """A z one step above y's level with N(z) = y, or None.
+
+    Over a root step N(z) = z^p, so z is the p-th root of y, found exactly
+    whatever the bound.  Over an Artin-Schreier step candidate coordinates
+    are base fractions with numerator and denominator degrees at most
+    ``degree_bound``; the first hit in canonical enumeration order is
+    returned, or None once the space is exhausted ("not found within the
+    bound" is a value, not an error).  A step above the base goes through
+    ``_solve_norm_shadow``.  Memoized on y's tower, per y and bound, a None
+    included."""
+    return _memo(y.tower, ("solve_norm", y.rep, degree_bound),
+                 lambda: _solve_norm_uncached(y, degree_bound))
 
 
-def _solve_norm_uncached(y: Elem, level_top: int, level_bottom: int,
-                         degree_bound: int) -> Optional[Elem]:
-    tower = y.tower
-    if level_top == level_bottom:
-        return y if not y.is_zero() else None
-    if level_bottom > 0:
-        return _solve_norm_shadow(y, level_top, level_bottom, degree_bound)
-    if level_top == 1 and tower.p == 2:
+def _solve_norm_uncached(y: Elem, degree_bound: int) -> Optional[Elem]:
+    tower, level = y.tower, y.level
+    if tower.step_at(level + 1).kind == "insep_root":
+        return None if y.is_zero() else pth_root_in_level(lift(y, level + 1))
+    if level > 0:
+        return _solve_norm_shadow(y, degree_bound)
+    if tower.p == 2:
         return _solve_norm_char2_resolvent(y, degree_bound)
-    basis = list(_iproduct(*(range(s.degree) for s in tower.steps[:level_top])))
     for height in range(degree_bound + 1):
-        for vec in _coordinate_tuples(tower, len(basis), height):
-            z = _from_coordinates(tower, level_top, dict(zip(basis, vec)))
+        for vec in _coordinate_tuples(tower, tower.p, height):
+            z = Elem(tower, 1, vec)
             if not z.is_zero() and norm(z, 0) == y:
                 return z
     return None
 
 
 def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
-    """One degree-2 step over the base in characteristic 2: for each radical
-    coordinate candidate c1 the norm equation becomes an explicit equation
-    for c0 (a square root for root steps, an Artin-Schreier preimage for
-    cyclic steps), both decided exactly.  Covers every witness whose c1
-    coordinate has height within the bound, in canonical order.
+    """One Artin-Schreier step i^2 + i = w over the base in characteristic
+    2: for each candidate c1 of the radical coordinate the norm equation
+    becomes an Artin-Schreier equation for c0, decided exactly.  Covers
+    every witness whose c1 coordinate has height within the bound, in
+    canonical order.
 
-    With y = a/b and w = wn/wd reduced and c1 = n/d (d monic), both
-    equations have the numerator N = A d^2 - B n^2, where A = a wd,
-    B = b wn and C = b wd are formed once:
-
-    * cyclic step, N(c0 + c1 i) = c0^2 + c0 c1 + c1^2 w = y: substituting
-      c0 = c1 u gives u^2 + u = (y - c1^2 w) / c1^2 = N / (C n^2).  It has
-      a solution only if the reduced denominator is a square (for a reduced
-      u = s/r, u^2 + u = (s^2 + s r) / r^2 is reduced).  ``_CyclicSieve``
-      decides that from valuations read off the height pools' sieve, and
-      forms N only where they leave it open.
-    * root step, N(c0 + c1 s) = c0^2 + c1^2 w = y: c0^2 = N / (C d^2) is a
-      square exactly when N C = c0^2 (C d)^2 is a square polynomial, so no
-      fraction is reduced but the witness's.
-
-    The squares n^2 and d^2 are Frobenius images."""
+    N(c0 + c1 i) = c0^2 + c0 c1 + c1^2 w = y: substituting c0 = c1 u gives
+    u^2 + u = (y - c1^2 w) / c1^2.  With y = a/b and w = wn/wd reduced and
+    c1 = n/d (d monic) that is N / (C n^2), where N = A d^2 - B n^2 and
+    A = a wd, B = b wn and C = b wd are formed once.  It has a solution
+    only if the reduced denominator is a square (for a reduced u = s/r,
+    u^2 + u = (s^2 + s r) / r^2 is reduced).  ``_CyclicSieve`` decides that
+    from valuations read off the height pools' sieve, and forms N only
+    where they leave it open.  The squares n^2 and d^2 are Frobenius
+    images."""
     tower = y.tower
-    step = tower.step_at(1)
     w = step_defining_elem(tower, 1).rep
     y0 = y.rep
 
@@ -827,24 +797,18 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     if root is not None:
         return finish(root, RatFunc.zero(tower.ring))
     A, B, C = y0.num * w.den, y0.den * w.num, y0.den * w.den
-    sieve = _CyclicSieve(tower, (A, B, C)) if step.kind == "artin_schreier" else None
+    sieve = _CyclicSieve(tower, (A, B, C))
     for h in range(degree_bound + 1):
         for c1 in _ratfuncs_of_height(tower, h):
             if c1.is_zero():
                 continue
-            n, d = c1.num, c1.den
-            if sieve is not None:
-                N = sieve.numerator(n, d, h)
-                if N is None:
-                    continue
-                u = _as_preimage_base(Elem(tower, 0, RatFunc(N, C * n.pth_power())))
-                if u is None:
-                    continue
-                return finish(c1 * u.rep, c1)
-            N = A * d.pth_power() - B * n.pth_power()
-            if (N * C).pth_power_root() is None:
+            N = sieve.numerator(c1.num, c1.den, h)
+            if N is None:
                 continue
-            return finish(RatFunc(N, C * d.pth_power()).pth_root(), c1)
+            u = _as_preimage_base(Elem(tower, 0, RatFunc(N, C * c1.num.pth_power())))
+            if u is None:
+                continue
+            return finish(c1 * u.rep, c1)
     return None
 
 
@@ -907,25 +871,21 @@ class _CyclicSieve:
         return N
 
 
-def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
-                       degree_bound: int) -> Optional[Elem]:
-    """One step over a level above the base: solve the same norm
-    equation one step over a depth-zero shadow base, then map the witness's
-    coordinates back.
+def _solve_norm_shadow(y: Elem, degree_bound: int) -> Optional[Elem]:
+    """One Artin-Schreier step over a level above the base: solve the same
+    norm equation one step over a depth-zero shadow base, then map the
+    witness's coordinates back.
 
-    With a rational presentation of the bottom level the shadow base is
+    With a rational presentation of y's level the shadow base is
     GF(Q)(w), reached by ``forward`` and left by ``backward``: an
     isomorphism, so the search is as complete as the one over GF(Q)(w).
     Otherwise the shadow is the base itself, when the step's defining
     element and y descend there: sound (witnesses lift), but only base
     coordinates are searched.  Other shapes return None, which callers
     treat as an exhausted search."""
-    tower = y.tower
-    if level_top != level_bottom + 1:
-        return None
-    step = tower.step_at(level_top)
+    tower, level = y.tower, y.level
     from .rationalize import rationalize_level
-    rz = rationalize_level(tower, level_bottom)
+    rz = rationalize_level(tower, level)
     if rz is not None:
         base, forward, backward = rz.tower, rz.forward, rz.backward
     else:
@@ -935,18 +895,18 @@ def _solve_norm_shadow(y: Elem, level_top: int, level_bottom: int,
             return descend(x, 0).rep
 
         def backward(c: RatFunc) -> Elem:
-            return lift(Elem(tower, 0, c), level_bottom)
+            return lift(Elem(tower, 0, c), level)
     try:
-        shadow = make_step(base, step.kind, "@g",
-                           Elem(base, 0, forward(step_defining_elem(tower, level_top))))
+        shadow = make_step(base, "artin_schreier", "@g",
+                           Elem(base, 0, forward(step_defining_elem(tower, level + 1))))
         y_img = Elem(shadow, 0, forward(y))
     except ValueError:  # a StepError, or something above the base
         return None
-    z_img = solve_norm(y_img, 1, 0, degree_bound)
+    z_img = solve_norm(y_img, degree_bound)
     if z_img is None:
         return None
-    out = Elem(tower, level_top, tuple(backward(c).rep for c in z_img.rep))
-    if norm(out, level_bottom) != y:
+    out = Elem(tower, level + 1, tuple(backward(c).rep for c in z_img.rep))
+    if norm(out, level) != y:
         raise AssertionError("norm witness did not survive the change of coordinates")
     return out
 

@@ -69,7 +69,7 @@ def rand_at(rng: random.Random, tower: FieldTower, level=None, max_deg: int = 2)
     level = tower.depth if level is None else level
     ring = tower.ring
     coords = {}
-    for ev in product(*(range(tower.step_at(k).degree) for k in range(1, level + 1))):
+    for ev in product(range(tower.p), repeat=level):
         if ring.nvars == 1:
             coords[ev] = rand_ratfunc(rng, ring, max_deg)
         else:

@@ -1,14 +1,11 @@
 import random
 
-import pytest
-
 from conftest import rand_elem
-from charp import towers as tw
 from charp.certify import (CertBuilder, Certificate, CertStep,
                            verify_certificate)
 from charp.oracle import expr_invariants
 from charp.symbols import BrauerExpr, Symbol, reduce_expr
-from charp.textform import format_symbol, format_tower, parse_expr, parse_symbol
+from charp.textform import format_tower, parse_expr
 
 
 def base_cert(f2t, steps):

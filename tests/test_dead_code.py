@@ -4,10 +4,11 @@ and every private one has a caller in the package itself.
 A name counts as used when it appears in ``src/charp``, ``tests`` or
 ``perfbench`` more often than it is defined in ``src/charp``: as a call, an
 import, a reference, or inside a string (the benchmark's tracer resolves
-names from strings).  Comments do not count.  Matching is by name, so
-same-named definitions share their uses.  A method named like a Python
-builtin (``sorted``, ``pow``) counts only its attribute uses ``.name``,
-because a bare name is the builtin.  Dunder methods are exempt: the
+names from strings).  Comments and docstrings do not count: they describe
+code, they do not use it.  Matching is by name, so same-named definitions
+share their uses.  A method named like a Python builtin (``sorted``,
+``pow``) counts only its attribute uses ``.name``, because a bare name is
+the builtin.  Dunder methods are exempt: the
 language calls them.
 
 A private name (one leading underscore) is no API: when only tests or the
@@ -81,23 +82,39 @@ def _builtin_methods():
     return out
 
 
+def _docstring_starts(source: str) -> set:
+    """The (row, column) where each docstring of a module source starts:
+    the string that opens a module, class or function body."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                out.add((first.lineno, first.col_offset))
+    return out
+
+
 def _word_counts(roots=SEARCHED, skip=()):
     """Occurrences of each identifier-like word in the code and strings of
-    the given trees, but for the files ``skip``.  A name of
-    ``_builtin_methods`` counts only after a dot or ``def``."""
+    the given trees, docstrings left out, but for the files ``skip``.  A
+    name of ``_builtin_methods`` counts only after a dot or ``def``."""
     attribute_only = _builtin_methods()
     counts: Counter = Counter()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             if path in skip:
                 continue
-            tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            source = path.read_text()
+            docstrings = _docstring_starts(source)
+            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
             prev = None
             for tok in tokens:
                 if tok.type == tokenize.NAME:
                     if tok.string not in attribute_only or prev in (".", "def"):
                         counts[tok.string] += 1
-                elif tok.type == tokenize.STRING:
+                elif tok.type == tokenize.STRING and tok.start not in docstrings:
                     counts.update(w for w in _WORD.findall(tok.string)
                                   if w not in attribute_only)
                     counts.update(w for w in _ATTRIBUTE.findall(tok.string)

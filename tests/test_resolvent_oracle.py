@@ -1,19 +1,20 @@
 """Differential test of the characteristic-2 norm resolvent.
 
-For a candidate c1 = n/d the resolvent of ``towers.solve_norm`` used to
-build one reduced fraction per candidate: rhs = (y - c1^2 w) / c1^2 for a
-cyclic step, c0^2 = y - c1^2 w for a root step.  Now, with y = a/b and
-w = wn/wd, it forms N = a wd d^2 - b wn n^2 and C = b wd and reduces no
-fraction for a candidate it rejects:
+For a candidate c1 = n/d the resolvent of ``towers.solve_norm`` over a
+cyclic step used to build one reduced fraction per candidate,
+rhs = (y - c1^2 w) / c1^2.  Now, with y = a/b and w = wn/wd, it forms
+N = a wd d^2 - b wn n^2 and C = b wd and reduces no fraction for a
+candidate it rejects: rhs = N / (C n^2) needs a square reduced
+denominator, which ``towers._CyclicSieve`` decides from valuations read
+off the height pools' sieve, forming N only where they leave the verdict
+open.
 
-* cyclic step: rhs = N / (C n^2) needs a square reduced denominator, which
-  ``towers._CyclicSieve`` decides from valuations read off the height
-  pools' sieve, forming N only where they leave the verdict open;
-* root step: c0^2 = N / (C d^2) is a square exactly when N C is.
-
-Both verdicts are compared here with the reduced fractions, written out the
+That verdict is compared here with the reduced fraction, written out the
 old way, and ``solve_norm`` is compared with a copy of the old candidate
-loop.
+loop.  Over a root step s^2 = w the norm is z^2, so ``solve_norm`` returns
+the exact square root whatever the bound; a bounded loop that solves
+c0^2 = y - c1^2 w per candidate c1 can only find that same root, and finds
+it exactly when its c1 coordinate lies within the bound.
 
 Operands come from the height pools over GF(2)(t1,t2), GF(4)(t1,t2) and
 GF(2)(t), with the zero fraction left out of the draw, so every operand is
@@ -62,15 +63,11 @@ def test_rejection_matches_the_reduced_fraction(text, data):
         numerator = sieve.numerator(n, d, h)
         assert numerator in (None, N), (y0, w, c1)
         assert (numerator is not None) == (rhs.den.pth_power_root() is not None), (y0, w, c1)
-        # root step: c0^2 = y0 - c1^2 w, a square exactly when N C is
-        c0sq = y0 - c1sq * w
-        assert ((N * abc[2]).pth_power_root() is not None) == (c0sq.pth_root() is not None), \
-            (y0, w, c1)
 
 
 def _reference_resolvent(y, degree_bound):
-    """The resolvent's candidate loop before the rejection test: one reduced
-    fraction per candidate."""
+    """The cyclic resolvent's candidate loop before the rejection test: one
+    reduced fraction per candidate."""
     tower = y.tower
     w = tw.step_defining_elem(tower, 1).rep
     y0 = y.rep
@@ -82,17 +79,29 @@ def _reference_resolvent(y, degree_bound):
             if c1.is_zero():
                 continue
             c1sq = c1 * c1
-            if tower.step_at(1).kind == "artin_schreier":
-                rhs = (y0 - c1sq * w) / c1sq
-                u = tw._as_preimage_base(tw.Elem(tower, 0, rhs))
-                if u is None:
-                    continue
-                return tw.Elem(tower, 1, (c1 * u.rep, c1))
-            c0 = (y0 - c1sq * w).pth_root()
-            if c0 is None:
+            rhs = (y0 - c1sq * w) / c1sq
+            u = tw._as_preimage_base(tw.Elem(tower, 0, rhs))
+            if u is None:
                 continue
-            return tw.Elem(tower, 1, (c0, c1))
+            return tw.Elem(tower, 1, (c1 * u.rep, c1))
     return None
+
+
+def _bounded_root_loop(y, degree_bound):
+    """Over a root step s^2 = w: the first candidate c1 (c1 = 0 first) for
+    which c0^2 = y - c1^2 w has a root c0, giving z = c0 + c1 s."""
+    tower = y.tower
+    w = tw.step_defining_elem(tower, 1).rep
+    for h in range(degree_bound + 1):
+        for c1 in tw._ratfuncs_of_height(tower, h):
+            c0 = (y.rep - c1 * c1 * w).pth_root()
+            if c0 is not None and not (c0.is_zero() and c1.is_zero()):
+                return tw.Elem(tower, 1, (c0, c1))
+    return None
+
+
+def _height(c):
+    return max(c.num.total_degree(), c.den.total_degree())
 
 
 # (base, cyclic step) -> the largest bound drawn.  The old loop reduces a
@@ -106,8 +115,13 @@ SEARCH_BOUNDS = {("GF(2)(t)", True): 2, ("GF(2)(t)", False): 2,
 
 
 def _assert_same_witness(y, bound):
-    z = tw.solve_norm(y, 1, 0, bound)
-    assert z == _reference_resolvent(y, bound), (y.tower, y, bound)
+    z = tw.solve_norm(y, bound)
+    if y.tower.step_at(1).kind == "artin_schreier":
+        assert z == _reference_resolvent(y, bound), (y.tower, y, bound)
+    else:
+        assert z == tw.pth_root_in_level(tw.lift(y, 1)), (y.tower, y, bound)
+        within = z is not None and (z.rep[1].is_zero() or _height(z.rep[1]) <= bound)
+        assert _bounded_root_loop(y, bound) == (z if within else None), (y.tower, y, bound)
     if z is not None:
         assert tw.norm(z, 0) == y
 
@@ -134,10 +148,9 @@ def test_solve_norm_matches_the_reference_loop(key, data):
 @pytest.mark.parametrize("tower, y", [
     # the cyclic search of the quadratic witness-only run: a witness
     ("GF(2)(t1,t2) ; AS w: w^2+w = 1/t1", "t1*t2^2"),
-    # the root step of the witness-only runs: no witness
+    # a root step where t2 is not a square: no witness at any bound
     ("GF(2)(t1,t2) ; ROOT r: r^2 = t1", "t2"),
-    # a root step whose witness t2 + t1 r has N = t1 t2^2 and C = t1, so
-    # N C is a square and N is not
+    # a root step where t2^2+t1 is the square of t2 + t1 r
     ("GF(2)(t1,t2) ; ROOT r: r^2 = 1/t1", "t2^2+t1"),
 ])
 def test_solve_norm_matches_the_reference_loop_to_bound_2(tower, y):

@@ -74,7 +74,7 @@ def test_inverting_a_zero_divisor_of_a_reducible_step_is_an_arithmetic_error(f2t
     t = tw.var_elem(f2t, "t")
     with pytest.raises(tw.StepError, match="degenerate step"):
         tw.make_step(f2t, "artin_schreier", "j", tw.wp(t))
-    step = tw.ExtStep("artin_schreier", "j", tw.wp(t).rep, 2)
+    step = tw.ExtStep("artin_schreier", "j", tw.wp(t).rep)
     T = tw._interned(f2t.ring, (step,), f2t)
     factor = tw.sub(tw.gen_elem(T, 1), tw.var_elem(T, "t", 1))  # j - t
     assert not factor.is_zero()
@@ -179,16 +179,16 @@ def test_solve_norm_examples():
     # y = 1 has the witness 1
     T = parse_tower("GF(2)(t) ; AS i: i^2+i = 1/t")
     one = tw.int_elem(T, 0, 1)
-    z = tw.solve_norm(one, 1, 0, 0)
+    z = tw.solve_norm(one, 0)
     assert z is not None and tw.norm(z, 0) == one
     # y = t over i^2+i = 1/t is hit within degree bound 1
     y = parse_element("t", T, 0)
-    z2 = tw.solve_norm(y, 1, 0, 1)
+    z2 = tw.solve_norm(y, 1)
     assert z2 is not None and tw.norm(z2, 0) == y
     # y = t over the constant extension has no witness at all
     T2 = parse_tower("GF(2)(t) ; AS i: i^2+i = 1")
     y2 = parse_element("t", T2, 0)
-    assert tw.solve_norm(y2, 1, 0, 2) is None
+    assert tw.solve_norm(y2, 2) is None
 
 
 @pytest.mark.parametrize("y, witness", [("s", "s*i"), ("t", "s"), ("s+1", None)])
@@ -196,7 +196,7 @@ def test_solve_norm_through_the_rational_presentation(y, witness):
     # one step over a level with a rational presentation: the search runs
     # over GF(2)(w), w^2 = t, and the witness comes back through it
     T = parse_tower("GF(2)(t) ; ROOT s: s^2 = t ; AS i: i^2+i = 1/s")
-    z = tw.solve_norm(parse_element(y, T, 1), 2, 1, 2)
+    z = tw.solve_norm(parse_element(y, T, 1), 2)
     assert (None if z is None else format_elem(z)) == witness
     if z is not None:
         assert tw.norm(z, 1) == parse_element(y, T, 1)
@@ -206,7 +206,7 @@ def test_solve_norm_generic_enumeration():
     # odd characteristic has no resolvent: coordinate tuples are enumerated
     T = parse_tower("GF(3)(t) ; AS i: i^3+2*i = 1/t")
     y = parse_element("t", T, 0)
-    z = tw.solve_norm(y, 1, 0, 1)
+    z = tw.solve_norm(y, 1)
     assert format_elem(z) == "t*i^2"
     assert tw.norm(z, 0) == y
 
@@ -218,11 +218,28 @@ def test_solve_norm_sound_and_monotone():
     for _ in range(10):
         y = rand_elem(rng, base, 2, nonzero=True)
         y = tw.rebind(y, T)
-        z1 = tw.solve_norm(y, 1, 0, 1)
-        z2 = tw.solve_norm(y, 1, 0, 2)
+        z1 = tw.solve_norm(y, 1)
+        z2 = tw.solve_norm(y, 2)
         if z1 is not None:
             assert tw.norm(z1, 0) == y
             assert z2 is not None  # monotone in the bound
+
+
+@pytest.mark.parametrize("tower, y, bound, witness", [
+    # (t^2+s)^3 = t^6+t: the root lies past the bound's coordinate heights
+    ("GF(3)(t) ; ROOT s: s^3 = t", "t^6+t", 1, "t^2+s"),
+    ("GF(2)(t1,t2) ; ROOT r: r^2 = t1", "t2^2+t1^3", 0, "t2+t1*r"),
+    ("GF(2)(t1,t2) ; ROOT r: r^2 = t1", "t2", 2, None),
+    ("GF(2)(t1,t2) ; ROOT r: r^2 = t1", "0", 2, None),
+])
+def test_solve_norm_over_a_root_step_is_the_pth_root(tower, y, bound, witness):
+    # N(z) = z^p over a root step, so the answer is exact whatever the bound
+    T = parse_tower(tower)
+    y = parse_element(y, T, 0)
+    z = tw.solve_norm(y, bound)
+    assert (None if z is None else format_elem(z)) == witness
+    if z is not None:
+        assert tw.power(z, T.p) == tw.lift(y, 1) and tw.norm(z, 0) == y
 
 
 def test_char2_resolvent_rejects_candidates_without_reducing(monkeypatch):
