@@ -12,11 +12,9 @@ bounds; the one known two-sided small-index result appears as an annotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 
-@dataclass
 class Scenario:
     """A hypothesis about a class of exponent p, plus optional attached data
     for the constructive drivers.
@@ -35,22 +33,23 @@ class Scenario:
                           most lambda_bound
     """
 
-    p: int
-    kind: str
-    n: int = 1
-    e: int = 1
-    lambda_bound: Optional[int] = None
-    deg_log: Optional[int] = None
-    p_cyclic_reducible: bool = False
-    attached: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.p < 2:
+    def __init__(self, p: int, kind: str, n: int = 1, e: int = 1,
+                 lambda_bound: Optional[int] = None, deg_log: Optional[int] = None,
+                 p_cyclic_reducible: bool = False, attached: Optional[dict] = None):
+        if p < 2:
             raise ValueError("the prime must be at least 2")
-        if self.n < 0 or self.e < 1:
+        if n < 0 or e < 1:
             raise ValueError("scenario parameters must be positive")
-        if self.kind not in KINDS:
-            raise ValueError("unknown scenario kind %r" % self.kind)
+        if kind not in KINDS:
+            raise ValueError("unknown scenario kind %r" % kind)
+        self.p = p
+        self.kind = kind
+        self.n = n
+        self.e = e
+        self.lambda_bound = lambda_bound
+        self.deg_log = deg_log
+        self.p_cyclic_reducible = p_cyclic_reducible
+        self.attached = attached
 
 
 KINDS = ("cyclic_deg", "index", "split_by_insep", "cyclic_after_insep",
@@ -58,13 +57,16 @@ KINDS = ("cyclic_deg", "index", "split_by_insep", "cyclic_after_insep",
          "p_ext_lambda")
 
 
-@dataclass
 class Rule:
-    ident: str
-    applies: Callable[[Scenario], bool]
-    value: Callable[[Scenario], int]
-    conditional: Callable[[Scenario], bool] = lambda s: False
-    note: str = ""
+    def __init__(self, ident: str, applies: Callable[[Scenario], bool],
+                 value: Callable[[Scenario], int],
+                 conditional: Callable[[Scenario], bool] = lambda s: False,
+                 note: str = ""):
+        self.ident = ident
+        self.applies = applies
+        self.value = value
+        self.conditional = conditional
+        self.note = note
 
 
 def _needs_reducibility(s: Scenario) -> bool:
@@ -135,14 +137,16 @@ RULES: List[Rule] = [
 RULES_BY_ID: Dict[str, Rule] = {r.ident: r for r in RULES}
 
 
-@dataclass
 class BoundReport:
-    value: int
-    rule: str
-    chain: List[dict]
-    conditional: bool = False
-    annotations: List[str] = field(default_factory=list)
-    decomposition: Optional[object] = None
+    def __init__(self, value: int, rule: str, chain: List[dict],
+                 conditional: bool = False, annotations: Optional[List[str]] = None,
+                 decomposition: Optional[object] = None):
+        self.value = value
+        self.rule = rule
+        self.chain = chain
+        self.conditional = conditional
+        self.annotations = [] if annotations is None else annotations
+        self.decomposition = decomposition
 
     def to_json(self) -> dict:
         doc = {

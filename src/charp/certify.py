@@ -26,7 +26,6 @@ reported distinctly from mathematical rejection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import towers as tw
@@ -35,14 +34,15 @@ from .textform import (ParseError, format_elem, format_symbol, format_tower,
                        parse_element, parse_tower)
 
 
-@dataclass
 class CertStep:
-    kind: str
-    level_before: int
-    level_after: int
-    before: List[str]
-    after: List[str]
-    witness: dict = field(default_factory=dict)
+    def __init__(self, kind: str, level_before: int, level_after: int,
+                 before: List[str], after: List[str], witness: Optional[dict] = None):
+        self.kind = kind
+        self.level_before = level_before
+        self.level_after = level_after
+        self.before = before
+        self.after = after
+        self.witness = {} if witness is None else witness
 
     def to_json(self) -> dict:
         return {
@@ -56,16 +56,20 @@ class CertStep:
 
     @staticmethod
     def from_json(doc: dict) -> "CertStep":
-        """The fields as given; ``verify_certificate`` checks their types."""
-        return CertStep(doc["kind"], doc["level_before"], doc["level_after"],
-                        doc["before"], doc["after"], doc.get("witnesses", {}))
+        """The fields as given, a null ``witnesses`` too;
+        ``verify_certificate`` checks their types."""
+        step = CertStep(doc["kind"], doc["level_before"], doc["level_after"],
+                        doc["before"], doc["after"])
+        if "witnesses" in doc:
+            step.witness = doc["witnesses"]
+        return step
 
 
-@dataclass
 class Certificate:
-    tower_text: str
-    p: int
-    steps: List[CertStep]
+    def __init__(self, tower_text: str, p: int, steps: List[CertStep]):
+        self.tower_text = tower_text
+        self.p = p
+        self.steps = steps
 
     def to_json(self) -> str:
         doc = {
@@ -112,12 +116,13 @@ class CertBuilder:
         return Certificate(format_tower(self.tower), self.tower.p, self.steps)
 
 
-@dataclass
 class VerifyOutcome:
-    accepted: bool
-    failed_step: Optional[int] = None
-    reason: str = ""
-    malformed: bool = False
+    def __init__(self, accepted: bool, failed_step: Optional[int] = None,
+                 reason: str = "", malformed: bool = False):
+        self.accepted = accepted
+        self.failed_step = failed_step
+        self.reason = reason
+        self.malformed = malformed
 
     def __bool__(self) -> bool:
         return self.accepted

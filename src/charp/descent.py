@@ -15,7 +15,6 @@ oracle-checked, witness-checked, or assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,15 +41,15 @@ ELEMENTARY_NORM_BOUND = 2
 ALBERT_HEIGHT = 1
 
 
-@dataclass
 class SearchConfig:
-    norm_bound: int = 4
+    def __init__(self, norm_bound: int = 4):
+        self.norm_bound = norm_bound
 
 
-@dataclass
 class CheckLabel:
-    claim: str
-    method: str  # "oracle" | "witness" | "assumed"
+    def __init__(self, claim: str, method: str):
+        self.claim = claim
+        self.method = method  # "oracle" | "witness" | "assumed"
 
     def to_json(self) -> dict:
         return {"claim": self.claim, "method": self.method}
@@ -172,13 +171,15 @@ def certify_equivalence(start: BrauerExpr, result: BrauerExpr) -> Certificate:
 # Albert-style decomposition over an inseparable splitting tower
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DecompositionResult:
-    expr: BrauerExpr
-    certificate: Optional[Certificate]   # None only before certification
-    reported_length: int
-    slots: List[Optional[int]] = field(default_factory=list)
-    labels: List[CheckLabel] = field(default_factory=list)
+    def __init__(self, expr: BrauerExpr, certificate: Optional[Certificate],
+                 reported_length: int, slots: Optional[List[Optional[int]]] = None,
+                 labels: Optional[List[CheckLabel]] = None):
+        self.expr = expr
+        self.certificate = certificate  # None only before certification
+        self.reported_length = reported_length
+        self.slots = [] if slots is None else slots
+        self.labels = [] if labels is None else labels
 
     def to_json(self) -> dict:
         from .textform import format_expr
@@ -367,14 +368,16 @@ def insep_splitting_field(C: Symbol, f_level: int = 0,
 # reduction of a class that becomes cyclic over the tower
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ReduceOutcome:
-    split_part: BrauerExpr       # B: dies over the tower
-    cyclic_part: BrauerExpr      # B': at most p - 1 symbols
-    certificate: Certificate
-    case: str
-    labels: List[CheckLabel]
-    norm_witness: Optional[tw.Elem] = None
+    def __init__(self, split_part: BrauerExpr, cyclic_part: BrauerExpr,
+                 certificate: Certificate, case: str, labels: List[CheckLabel],
+                 norm_witness: Optional[tw.Elem] = None):
+        self.split_part = split_part    # B: dies over the tower
+        self.cyclic_part = cyclic_part  # B': at most p - 1 symbols
+        self.certificate = certificate
+        self.case = case
+        self.labels = labels
+        self.norm_witness = norm_witness
 
     def total(self) -> BrauerExpr:
         return self.split_part.tensor(self.cyclic_part)

@@ -17,7 +17,6 @@ through the verifier once, when it is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import towers as tw
@@ -33,14 +32,15 @@ class DriverError(RuntimeError):
     pass
 
 
-@dataclass
 class DriveResult:
-    report: BoundReport
-    expr: BrauerExpr
-    certificate: object
-    achieved: int
-    labels: List[CheckLabel]
-    case: str = ""
+    def __init__(self, report: BoundReport, expr: BrauerExpr, certificate: object,
+                 achieved: int, labels: List[CheckLabel], case: str = ""):
+        self.report = report
+        self.expr = expr
+        self.certificate = certificate
+        self.achieved = achieved
+        self.labels = labels
+        self.case = case
 
     def to_json(self) -> dict:
         return {

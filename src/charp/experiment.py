@@ -14,7 +14,6 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from typing import List
 
 from . import towers as tw
@@ -32,15 +31,16 @@ FAMILIES = ("symbols", "merge_pipeline", "insep_cyclic", "cyclic_step",
             "cyclic_degree")
 
 
-@dataclass
 class ExperimentConfig:
-    family: str
-    trials: int
-    seed: int
-    p: int = 2
-    constant_degree: int = 1
-    degree_cap: int = 3
-    norm_bound: int = 4
+    def __init__(self, family: str, trials: int, seed: int, p: int = 2,
+                 constant_degree: int = 1, degree_cap: int = 3, norm_bound: int = 4):
+        self.family = family
+        self.trials = trials
+        self.seed = seed
+        self.p = p
+        self.constant_degree = constant_degree
+        self.degree_cap = degree_cap
+        self.norm_bound = norm_bound
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
@@ -57,16 +57,17 @@ class ExperimentConfig:
         )
 
 
-@dataclass
 class TrialRow:
-    trial: int
-    scenario: str
-    bound_rule: str
-    bound: int
-    achieved: int
-    certified: bool
-    runtime_ms: int
-    error: str = ""
+    def __init__(self, trial: int, scenario: str, bound_rule: str, bound: int,
+                 achieved: int, certified: bool, runtime_ms: int, error: str = ""):
+        self.trial = trial
+        self.scenario = scenario
+        self.bound_rule = bound_rule
+        self.bound = bound
+        self.achieved = achieved
+        self.certified = certified
+        self.runtime_ms = runtime_ms
+        self.error = error
 
     def as_list(self):
         return [self.trial, self.scenario, self.bound_rule, self.bound,
@@ -77,10 +78,10 @@ CSV_HEADER = ["trial", "scenario", "bound_rule", "bound", "achieved",
               "certified", "runtime_ms", "error"]
 
 
-@dataclass
 class ExperimentReport:
-    config: ExperimentConfig
-    rows: List[TrialRow]
+    def __init__(self, config: ExperimentConfig, rows: List[TrialRow]):
+        self.config = config
+        self.rows = rows
 
     def to_csv(self) -> str:
         out = io.StringIO()

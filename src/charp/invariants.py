@@ -15,7 +15,6 @@ level plumbing lives in the oracle module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
@@ -30,11 +29,25 @@ class BackendError(ValueError):
 # places
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Place:
-    """A monic irreducible over GF(q), or the place at infinity (pi None)."""
+    """A monic irreducible over GF(q), or the place at infinity (pi None).
+    Immutable: places are compared and hashed by ``pi``."""
 
-    pi: Optional[Poly]
+    __slots__ = ("pi",)
+
+    def __init__(self, pi: Optional[Poly]):
+        object.__setattr__(self, "pi", pi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a place is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pi,) == (other.pi,)
+
+    def __hash__(self) -> int:
+        return hash((self.pi,))
 
     @property
     def is_infinite(self) -> bool:

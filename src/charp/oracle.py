@@ -16,7 +16,6 @@ prescribed vector, optionally through prescribed radical slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from . import towers as tw
@@ -51,16 +50,19 @@ def expr_invariants(expr: BrauerExpr) -> InvariantVector:
     return out
 
 
-@dataclass
 class SplitResult:
     """Three-valued answer with its evidence."""
 
-    status: str  # "split" | "nonsplit" | "unknown"
-    witness: Optional[tw.Elem] = None
-    witness_tower: Optional[tw.FieldTower] = None
-    reason: str = ""
-    vector: Optional[InvariantVector] = None
-    searched_bound: Optional[int] = None
+    def __init__(self, status: str, witness: Optional[tw.Elem] = None,
+                 witness_tower: Optional[tw.FieldTower] = None, reason: str = "",
+                 vector: Optional[InvariantVector] = None,
+                 searched_bound: Optional[int] = None):
+        self.status = status  # "split" | "nonsplit" | "unknown"
+        self.witness = witness
+        self.witness_tower = witness_tower
+        self.reason = reason
+        self.vector = vector
+        self.searched_bound = searched_bound
 
     @property
     def is_split(self) -> bool:

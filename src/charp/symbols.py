@@ -18,7 +18,6 @@ certificate chains can be assembled by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import towers as tw
@@ -29,20 +28,32 @@ class LevelMismatch(ValueError):
     """Symbols or expressions combined across different levels."""
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """One cyclic degree-p algebra [a, b) over a tower level."""
+    """One cyclic degree-p algebra [a, b) over a tower level.  Immutable:
+    symbols are compared and hashed by their slots."""
 
-    a: Elem
-    b: Elem
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.tower is not self.b.tower:
+    def __init__(self, a: Elem, b: Elem):
+        if a.tower is not b.tower:
             raise LevelMismatch("slots live in different towers")
-        if self.a.level != self.b.level:
+        if a.level != b.level:
             raise LevelMismatch("slots live at different levels")
-        if self.b.is_zero():
+        if b.is_zero():
             raise ValueError("the radical slot of a symbol must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a symbol is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     @property
     def tower(self) -> FieldTower:
@@ -122,7 +133,6 @@ class BrauerExpr:
 # normalization of a single symbol
 # ---------------------------------------------------------------------------
 
-@dataclass
 class NormalizeOutcome:
     """Result of canonicalizing one symbol.
 
@@ -131,10 +141,12 @@ class NormalizeOutcome:
     new b = old b * w^p; ``split_witness`` names the closing evidence
     ("norm one" or the trivializing c)."""
 
-    symbol: Optional[Symbol]
-    as_shift: Optional[Elem]
-    power_shift: Optional[Elem]
-    split_witness: Optional[str] = None
+    def __init__(self, symbol: Optional[Symbol], as_shift: Optional[Elem],
+                 power_shift: Optional[Elem], split_witness: Optional[str] = None):
+        self.symbol = symbol
+        self.as_shift = as_shift
+        self.power_shift = power_shift
+        self.split_witness = split_witness
 
 
 def normalize_symbol(s: Symbol) -> NormalizeOutcome:

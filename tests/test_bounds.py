@@ -1,6 +1,6 @@
 import pytest
 
-from charp.bounds import (NoApplicableRule, Scenario, bound,
+from charp.bounds import (BoundReport, NoApplicableRule, Scenario, bound,
                           chain_iteration_bound, rule_value, scenario_from_json)
 
 
@@ -122,10 +122,19 @@ def test_chain_iteration_reproduces_the_two_per_level_formula():
 def test_no_applicable_rule():
     with pytest.raises(NoApplicableRule):
         bound(Scenario(5, "insep_lambda"))  # missing parameters
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown scenario kind 'nonsense'$"):
         Scenario(2, "nonsense")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the prime must be at least 2$"):
         Scenario(1, "index")
+    for n, e in ((-1, 1), (1, 0)):
+        with pytest.raises(ValueError, match="^scenario parameters must be positive$"):
+            Scenario(2, "index", n=n, e=e)
+
+
+def test_report_annotations_are_not_shared():
+    first, second = BoundReport(1, "r", []), BoundReport(1, "r", [])
+    first.annotations.append("note")
+    assert second.annotations == [] and first.annotations == ["note"]
 
 
 def test_scenario_json_round():

@@ -1,3 +1,4 @@
+import json
 import random
 
 from conftest import rand_elem
@@ -10,6 +11,22 @@ from charp.textform import format_tower, parse_expr
 
 def base_cert(f2t, steps):
     return Certificate(format_tower(f2t), 2, steps)
+
+
+def test_default_witnesses_are_not_shared():
+    first = CertStep("Reorder", 0, 0, [], [])
+    second = CertStep("Reorder", 0, 0, [], [])
+    first.witness["perm"] = []
+    assert second.witness == {}
+
+
+def test_null_witnesses_are_malformed(f2t):
+    doc = {"p": 2, "tower": format_tower(f2t),
+           "steps": [{"kind": "Reorder", "level_before": 0, "level_after": 0,
+                      "before": [], "after": [], "witnesses": None}]}
+    out = verify_certificate(Certificate.from_json(json.dumps(doc)))
+    assert not out.accepted and out.malformed and out.failed_step == 0
+    assert out.reason == "witnesses must be an object"
 
 
 def test_single_merge_step_accepts(f2t):

@@ -5,8 +5,8 @@ import pytest
 from conftest import rand_elem
 from charp import towers as tw
 from charp.certify import verify_certificate
-from charp.descent import (DescentError, InsepTower, SearchConfig,
-                           SplitHypothesisError, albert_decompose,
+from charp.descent import (DecompositionResult, DescentError, InsepTower,
+                           SearchConfig, SplitHypothesisError, albert_decompose,
                            frobenius_push, insep_splitting_field,
                            reduce_to_cyclic_step)
 from charp.ffield import FiniteField
@@ -69,6 +69,15 @@ def test_albert_decompose_univariate(f2t):
     # empty expression decomposes to nothing
     dec2 = albert_decompose(BrauerExpr(K.tower, 0, []), K)
     assert dec2.expr.is_empty()
+
+
+def test_decomposition_defaults_are_not_shared(f2t):
+    empty = BrauerExpr(f2t, 0, [])
+    first = DecompositionResult(empty, None, 0)
+    second = DecompositionResult(empty, None, 0)
+    first.slots.append(0)
+    first.labels.append(None)
+    assert second.slots == [] and second.labels == []
 
 
 def test_albert_decompose_infeasible_slots(f2t):

@@ -30,6 +30,19 @@ def test_local_invariant_pinned_examples():
     assert symbol_vector(RatFunc.zero(R), tf, 2).is_zero()
 
 
+def test_places_are_immutable_values():
+    R = ring()
+    t = R.var("t")
+    first, second = Place(t + R.one()), Place(t + R.one())
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first: 0, second: 1}) == 1
+    assert first != Place(t) and first != INF and Place(None) == INF
+    assert first != (first.pi,)
+    with pytest.raises(AttributeError):
+        first.pi = t
+    assert first.pi == t + R.one()
+
+
 def test_vector_formatting():
     R = ring()
     v = symbol_vector(RatFunc.one(R), RatFunc.from_poly(R.var("t")), 2)

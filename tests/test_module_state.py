@@ -63,3 +63,17 @@ def test_import_builds_no_field_or_tower():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "0", "0", "0"]
+
+
+def test_import_loads_no_record_machinery():
+    # The package's records are plain classes: importing it and its CLI
+    # loads neither ``dataclasses`` nor the ``inspect`` machinery that
+    # ``dataclasses`` pulls in, which costs every process its start-up time.
+    script = ("import sys\n"
+              "import charp, charp.cli\n"
+              "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize',"
+              " 'copy'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

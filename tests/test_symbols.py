@@ -120,15 +120,30 @@ def test_reduce_expr_invariance_random(f2t):
         assert expr_invariants(red) == expr_invariants(e)
 
 
-def test_level_mismatch_rejected(f2t):
+def test_level_mismatch_rejected(f2t, f3t):
     from charp.symbols import LevelMismatch
     T = tw.make_step(f2t, "insep_root", "s", tw.var_elem(f2t, "t"))
     a0 = tw.int_elem(T, 0, 1)
     b1 = tw.gen_elem(T, 1)
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(LevelMismatch, match="^slots live at different levels$"):
         Symbol(a0, b1)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelMismatch, match="^slots live in different towers$"):
+        Symbol(tw.var_elem(f2t, "t"), tw.var_elem(f3t, "t"))
+    with pytest.raises(ValueError, match="^the radical slot of a symbol must be nonzero$"):
         Symbol(b1, tw.int_elem(T, 1, 0))  # zero radical slot
+
+
+def test_symbols_are_immutable_values(f2t):
+    # symbols are dict keys and set members throughout the package
+    s1 = Symbol(tw.int_elem(f2t, 0, 1), tw.var_elem(f2t, "t"))
+    s2 = Symbol(tw.int_elem(f2t, 0, 1), tw.var_elem(f2t, "t"))
+    assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
+    assert len({s1: 0, s2: 1}) == 1
+    assert s1 != Symbol(tw.var_elem(f2t, "t"), tw.var_elem(f2t, "t"))
+    assert s1 != (s1.a, s1.b)
+    with pytest.raises(AttributeError):
+        s1.a = tw.var_elem(f2t, "t")
+    assert s1.a == tw.int_elem(f2t, 0, 1)
 
 
 def test_merge_preserves_invariants_p3(f3t):
