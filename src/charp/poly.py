@@ -24,7 +24,8 @@ variable alone: the gcd of all their coefficients in the other variables,
 encoded and taken on the dense kernel.  Everything else goes by content /
 primitive-part recursion over primitive pseudo-remainder sequences, which
 is all the reduction this package ever needs (no general multivariate
-factorization).
+factorization).  Exact division by a single term (a constant, a variable,
+a monomial) shifts exponents and scales by the inverse coefficient.
 
 The dense kernel, the ``_upoly_*`` functions, is the only univariate
 arithmetic: every univariate sum, product, division, gcd, inverse, power,
@@ -558,10 +559,15 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     is_zero, mul, sub, zero = field.is_zero, field.mul, field.sub, field.zero
-    q: Dict[Monomial, FFElem] = {}
-    r = dict(f.terms)
     glm = g.leading_monomial()
     glc_inv = field.inv(g.terms[glm])
+    if len(g.terms) == 1:  # a term: shift the exponents
+        q = {tuple(a - b for a, b in zip(m, glm)): mul(c, glc_inv) for m, c in f.terms.items()}
+        if any(e < 0 for m in q for e in m):
+            raise ArithmeticError("inexact polynomial division")
+        return Poly._trusted(ring, q)
+    q: Dict[Monomial, FFElem] = {}
+    r = dict(f.terms)
     g_terms = list(g.terms.items())
     while r:
         rlm = max(r, key=_grlex_key)

@@ -25,7 +25,7 @@ from itertools import product as _iproduct
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ffield import FiniteField, _PrimeField
-from .poly import (Poly, PolyRing, RatFunc, _generic_pow, _memo, _normalize_lead,
+from .poly import (Poly, PolyRing, RatFunc, _coprime, _generic_pow, _memo, _normalize_lead,
                    _powmod_poly, factor_univariate, poly_divmod_1var, poly_exact_div,
                    poly_gcd, poly_inv_mod, poly_valuation, _solve_linear, _upoly_divmod,
                    _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
@@ -777,10 +777,11 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     c1 = n/d (d monic) that is N / (C n^2), where N = A d^2 - B n^2 and
     A = a wd, B = b wn and C = b wd are formed once.  It has a solution
     only if the reduced denominator is a square (for a reduced u = s/r,
-    u^2 + u = (s^2 + s r) / r^2 is reduced).  ``_CyclicSieve`` decides that
-    from valuations read off the height pools' sieve, and forms N only
-    where they leave it open.  The squares n^2 and d^2 are Frobenius
-    images."""
+    u^2 + u = (s^2 + s r) / r^2 is reduced).  The candidates are walked by
+    numerator (``_ratfunc_groups``): ``_CyclicSieve`` settles once what a
+    numerator alone decides, skipping its group when that fails, and hands
+    on a pair that passes as the reduced fraction.  Only the hit becomes a
+    ``RatFunc``."""
     tower = y.tower
     w = step_defining_elem(tower, 1).rep
     y0 = y.rep
@@ -796,19 +797,18 @@ def _solve_norm_char2_resolvent(y: Elem, degree_bound: int) -> Optional[Elem]:
     root = y0.pth_root()
     if root is not None:
         return finish(root, RatFunc.zero(tower.ring))
-    A, B, C = y0.num * w.den, y0.den * w.num, y0.den * w.den
-    sieve = _CyclicSieve(tower, (A, B, C))
+    sieve = _CyclicSieve(tower, (y0.num * w.den, y0.den * w.num, y0.den * w.den))
     for h in range(degree_bound + 1):
-        for c1 in _ratfuncs_of_height(tower, h):
-            if c1.is_zero():
+        for n, dens in _ratfunc_groups(tower, h):
+            checks = None if n.is_zero() else sieve.checks(n, h)
+            if checks is None:
                 continue
-            N = sieve.numerator(c1.num, c1.den, h)
-            if N is None:
-                continue
-            u = _as_preimage_base(Elem(tower, 0, RatFunc(N, C * c1.num.pth_power())))
-            if u is None:
-                continue
-            return finish(c1 * u.rep, c1)
+            for d in dens:
+                rhs = sieve.fraction(checks, d)
+                u = None if rhs is None else _as_preimage_base(Elem(tower, 0, rhs))
+                if u is not None:
+                    c1 = RatFunc(n, d, reduce=False)
+                    return finish(c1 * u.rep, c1)
     return None
 
 
@@ -825,20 +825,27 @@ class _CyclicSieve:
     and e = v_pi(d) read off the sieve, x = v_pi(A) + 2e and
     y = v_pi(B) + 2k are the valuations of the two terms of N, so
     v_pi(N) = min(x, y) when they differ; otherwise trial division finds
-    it.  The denominator's valuation D = v_pi(C) + 2k drops by v_pi(N),
-    capped at D, and must stay even.  At the primes of C', C' / gcd(N, C')
-    must be a square.  The parts are coprime, so the denominator is a
-    square exactly when every prime passes (constants are squares in
-    GF(2^d)).  N is formed only for a trial division, the gcd or a
-    candidate that passes."""
+    it.  The denominator's valuation D = v_pi(C) + 2k drops by
+    m = min(v_pi(N), D) and must stay even.  At the primes of C',
+    C' / gcd(N, C') must be a square.  The parts are coprime, so the
+    denominator is a square exactly when every prime passes (constants are
+    squares in GF(2^d)), and the common factor is gcd(N, C') times the
+    pi^m: ``fraction`` reduces with no gcd of its own.
+
+    ``checks`` settles once per numerator what d cannot change: at n's own
+    primes e = 0, and at a known pi prime to n with v_pi(B) < v_pi(A),
+    x > y whatever e is.  Only the other known primes are read per pair,
+    and N is formed only where the valuations leave the verdict open."""
 
     def __init__(self, tower: FieldTower, abc: tuple):
         self.tower, self.abc, self.height = tower, abc, -1
         self.known, self.rest = Counter(), abc[2]
         self.memo: dict = {}  # pi -> (v_pi(A), v_pi(B), v_pi(C))
 
-    def numerator(self, n: Poly, d: Poly, h: int) -> Optional[Poly]:
-        """N for a candidate of height <= h that passes, None otherwise."""
+    def checks(self, n: Poly, h: int) -> Optional[tuple]:
+        """(n, fixed, open) for the pairs (n, d) of height <= h: (pi, x, y, D)
+        with x at e = 0, in ``open`` where d can change the verdict.  None
+        when a fixed verdict rejects every pair."""
         while self.height < h:
             self.height += 1
             self.factors = _factors_of_height(self.tower, self.height)
@@ -848,27 +855,67 @@ class _CyclicSieve:
                     if v:
                         self.known[pi] = v
         A, B, _ = self.abc
-        n_fac, d_fac = self.factors[_normalize_lead(n)], self.factors[d]
-        tied = []
+        n_fac = self.factors[_normalize_lead(n)]
+        fixed, open_ = [], []
         for pi in n_fac.keys() | self.known.keys():
             if pi not in self.memo:
                 self.memo[pi] = (poly_valuation(A, pi)[0], poly_valuation(B, pi)[0],
                                  self.known[pi])
             va, vb, vc = self.memo[pi]
-            x, y, D = va + 2 * d_fac[pi], vb + 2 * n_fac[pi], vc + 2 * n_fac[pi]
-            if x == y:
-                tied.append((pi, D))
-            elif (D - min(x, y, D)) % 2:
+            k = n_fac[pi]
+            x, y, D = va, vb + 2 * k, vc + 2 * k
+            if not k and y >= x:
+                open_.append((pi, x, y, D))
+            elif x != y and (D - min(x, y, D)) % 2:
                 return None
+            else:
+                fixed.append((pi, x, y, D))
+        return n, fixed, open_
+
+    def _pair(self, checks: tuple, d: Poly) -> Optional[tuple]:
+        """(N, [(pi, D, m)], gcd(N, C'), C' / gcd(N, C')) for a pair that
+        passes, None otherwise.  A zero N passes: m = D at a tie."""
+        n, vals, open_ = checks
+        if open_:
+            d_fac = self.factors[d]
+            opened = [(pi, x + 2 * d_fac[pi], y, D) for pi, x, y, D in open_]
+            if any(x != y and (D - min(x, y, D)) % 2 for _, x, y, D in opened):
+                return None
+            vals = vals + opened
+        A, B, _ = self.abc
         N = A * d.pth_power() - B * n.pth_power()
-        if N.is_zero():
-            return N
-        if any((D - poly_valuation(N, pi, D)[0]) % 2 for pi, D in tied):
+        mins = []
+        for pi, x, y, D in vals:
+            m = min(x, y, D) if x != y else poly_valuation(N, pi, D)[0]
+            if (D - m) % 2:
+                return None
+            mins.append((pi, D, m))
+        rest, g = self.rest, N.ring.one()
+        if rest.total_degree():
+            g = poly_gcd(N, rest)
+            rest = poly_exact_div(rest, g)
+            if rest.pth_power_root() is None:
+                return None
+        return N, mins, g, rest
+
+    def numerator(self, n: Poly, d: Poly, h: int) -> Optional[Poly]:
+        """N for a candidate of height <= h that passes, None otherwise."""
+        checks = self.checks(n, h)
+        out = checks and self._pair(checks, d)
+        return out and out[0]
+
+    def fraction(self, checks: tuple, d: Poly) -> Optional[RatFunc]:
+        """The reduced N / (C n^2) for a pair (n, d) that passes, None
+        otherwise.  C n^2 is lc(n)^2 C' times pi^D over the primes of n and
+        of the known part."""
+        out = self._pair(checks, d)
+        if out is None:
             return None
-        rest = self.rest
-        if rest.total_degree() and poly_exact_div(rest, poly_gcd(N, rest)).pth_power_root() is None:
-            return None
-        return N
+        N, mins, g, den = out
+        for pi, D, m in mins:
+            g, den = g * pi ** m, den * pi ** (D - m)
+        lead = self.tower.ring.field.frob(checks[0].leading_coeff())
+        return _coprime(poly_exact_div(N, g), den.scale(lead))
 
 
 def _solve_norm_shadow(y: Elem, degree_bound: int) -> Optional[Elem]:
@@ -927,10 +974,12 @@ def _coordinate_tuples(tower: FieldTower, dim: int, height: int):
 
 
 def _ratfuncs_of_height(tower: FieldTower, h: int) -> list:
-    """Reduced base fractions with max(deg num, deg den) == h, denominator
-    monic; degree means total degree on multivariate bases.  Memoized on the
-    base tower."""
-    return _memo(truncate(tower, 0), ("pool", h), lambda: _ratfuncs_built(tower.ring, h))
+    """Reduced base fractions with max(deg num, deg den) == h (total degree
+    on multivariate bases), denominator monic: num/den for the groups of
+    ``_ratfunc_groups``, in that order.  Memoized on the base tower."""
+    return _memo(truncate(tower, 0), ("pool", h), lambda: [
+        RatFunc(num, den, reduce=False) for num, dens in _ratfunc_groups(tower, h)
+        for den in dens])
 
 
 def _factors_of_height(tower: FieldTower, h: int) -> dict:
@@ -941,10 +990,11 @@ def _factors_of_height(tower: FieldTower, h: int) -> dict:
                  lambda: _factor_sets(_polys_up_to(tower.ring, h, monic=True)))
 
 
-def _ratfuncs_built(ring: PolyRing, h: int) -> list:
-    """The height-h pool: num/den for every numerator and monic denominator
-    of total degree <= h, in that nested order, that has height h and is
-    already reduced.
+def _ratfunc_groups(tower: FieldTower, h: int) -> list:
+    """The height-h pool by numerator, the one canonical order: (num, dens)
+    for every numerator of total degree <= h with dens, in order, the monic
+    denominators of total degree <= h that make num/den of height h and
+    already reduced.  Memoized on the base tower.
 
     A pair with a common factor reduces to a lower height, and distinct
     coprime pairs are distinct reduced fractions, so the pairs are kept
@@ -956,21 +1006,22 @@ def _ratfuncs_built(ring: PolyRing, h: int) -> list:
     divides zero, so the zero numerator pairs only with the constant
     denominator.
     """
-    nums = _polys_up_to(ring, h)
-    dens = _polys_up_to(ring, h, monic=True)
-    # FieldTower(...) is the interned base tower of the ring
-    factors = _factors_of_height(FieldTower(ring.field, ring.variables), h)
-    dens = [(den, den.total_degree(), factors[den].keys()) for den in dens]
-    everything = frozenset().union(*factors.values())
-    out = []
-    for num in nums:
-        top = num.total_degree() == h
-        num_factors = (factors[_normalize_lead(num)].keys()
-                       if not num.is_zero() else everything)
-        for den, d, den_factors in dens:
-            if (top or d == h) and num_factors.isdisjoint(den_factors):
-                out.append(RatFunc(num, den, reduce=False))
-    return out
+    def build():
+        factors = _factors_of_height(tower, h)
+        dens = [(den, den.total_degree(), factors[den].keys())
+                for den in _polys_up_to(tower.ring, h, monic=True)]
+        everything = frozenset().union(*factors.values())
+        out = []
+        for num in _polys_up_to(tower.ring, h):
+            top = num.total_degree() == h
+            num_factors = (factors[_normalize_lead(num)].keys()
+                           if not num.is_zero() else everything)
+            group = [den for den, d, den_factors in dens
+                     if (top or d == h) and num_factors.isdisjoint(den_factors)]
+            if group:
+                out.append((num, group))
+        return out
+    return _memo(truncate(tower, 0), ("groups", h), build)
 
 
 def _factor_sets(monics: list) -> dict:

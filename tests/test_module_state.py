@@ -4,7 +4,8 @@ time, and importing the package fills none of its process-wide caches.
 Memo caches live on the interned towers and their rings (``poly._memo``);
 a module-level ``{}``, ``[]``, ``dict()`` or ``set()`` would be
 process-wide state that no tower owns.  The tower registry itself is the
-one exemption.
+one exemption.  Since every tower's memo starts empty in a fresh process,
+a subprocess also shows what one search builds on its towers.
 """
 
 from __future__ import annotations
@@ -77,3 +78,19 @@ def test_import_loads_no_record_machinery():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_norm_resolvent_builds_no_fraction_pool():
+    # The characteristic-2 resolvent walks its candidates by numerator and
+    # wraps only the hit in a fraction: in a fresh process the quadratic
+    # witness-only search to bound 2 finds its witness without building the
+    # height-2 pool of 3612 fractions.
+    script = ("from charp import towers\n"
+              "from charp.textform import format_elem, parse_element, parse_tower\n"
+              "T = parse_tower('GF(2)(t1,t2) ; AS w: w^2+w = 1/t1')\n"
+              "z = towers.solve_norm(parse_element('t1*t2^2', T, 0), 2)\n"
+              "print(format_elem(z), ('pool', 2) in towers.truncate(T, 0).memo)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["(t1*t2)*w", "False"]

@@ -9,6 +9,12 @@ constant and monomial operands (also in one variable), operands with one
 variable in common and disjoint supports; and pairs in three variables.
 Every operand is nonzero by construction (at least one term, coefficients
 in 1..p-1), so no draw is filtered out.  sympy is a test-only dependency.
+
+Exact division by a single term (a constant, a variable or a term such as
+g*t1*t2^2) shifts exponents instead of running the long division; it is
+checked over GF(2)(t1,t2) and GF(4)(t1,t2) against the product it undoes,
+against a dividend with a term the divisor does not divide, and through
+``poly_valuation`` at t1 against the least t1-exponent.
 """
 
 import pytest
@@ -17,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from charp.ffield import FiniteField
-from charp.poly import Poly, PolyRing, poly_exact_div, poly_gcd
+from charp.poly import Poly, PolyRing, poly_exact_div, poly_gcd, poly_valuation
 
 SYMBOLS = sympy.symbols("x y z")
 
@@ -96,3 +102,27 @@ def test_gcd_shortcut_shapes_match_sympy(shape, p, ai, bi, ci):
     f, g = a * c, b * c
     _check_gcd(f, g)
     _check_gcd(g, f)
+
+
+def _nonzero(field, k):
+    return [c for c in field.elements() if not field.is_zero(c)][k % (field.order - 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((1, 2)), st.sampled_from(("constant", "variable", "term")),
+       _terms(), st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 2))
+def test_single_term_division(d, shape, fi, mon, k):
+    field = FiniteField(2, d)
+    R = PolyRing(field, ["t1", "t2"])
+    f = Poly(R, {m: _nonzero(field, c) for m, c in fi.items()})
+    c = _nonzero(field, k)
+    g = {"constant": Poly(R, {(0, 0): c}),
+         "variable": R.var("t1" if sum(mon) % 2 else "t2"),
+         "term": Poly(R, {(mon[0] + 1, mon[1]): c})}[shape]
+    assert poly_exact_div(f * g, g) == f
+    if not g.is_constant():
+        with pytest.raises(ArithmeticError):
+            poly_exact_div(f * g + R.one(), g)
+    v = min(m[0] for m in f.terms)
+    assert poly_valuation(f, R.var("t1")) == \
+        (v, Poly(R, {(m[0] - v, m[1]): a for m, a in f.terms.items()}))

@@ -11,10 +11,15 @@ open.
 
 That verdict is compared here with the reduced fraction, written out the
 old way, and ``solve_norm`` is compared with a copy of the old candidate
-loop.  Over a root step s^2 = w the norm is z^2, so ``solve_norm`` returns
-the exact square root whatever the bound; a bounded loop that solves
-c0^2 = y - c1^2 w per candidate c1 can only find that same root, and finds
-it exactly when its c1 coordinate lies within the bound.
+loop.  The sieve settles once per numerator what no denominator can
+change, and hands on a candidate that passes as N / (C n^2) already
+reduced, with no gcd: that fraction is compared with the one ``RatFunc``
+reduces, and one search to bound 2 per branch of the per-numerator checks
+runs against the old loop.  Over a root step s^2 = w the norm is z^2, so
+``solve_norm`` returns the exact square root whatever the bound; a bounded
+loop that solves c0^2 = y - c1^2 w per candidate c1 can only find that
+same root, and finds it exactly when its c1 coordinate lies within the
+bound.
 
 Operands come from the height pools over GF(2)(t1,t2), GF(4)(t1,t2) and
 GF(2)(t), with the zero fraction left out of the draw, so every operand is
@@ -170,3 +175,56 @@ def test_solve_norm_matches_the_reference_loop_to_bound_2(tower, y):
 def test_solve_norm_matches_the_reference_loop_to_bound_1(tower, y):
     T = parse_tower(tower)
     _assert_same_witness(parse_element(y, T, 0), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BASES)), st.data())
+def test_passing_fraction_is_the_reduced_fraction(text, data):
+    # y = c1^2 (u^2 + u + w) makes the drawn c1 pass: its rhs is u^2 + u
+    base = parse_tower(text)
+    top = BASES[text]
+    t1 = RatFunc.from_poly(base.ring.var(base.ring.variables[0]))
+    w, _ = _draw(data, base, top)
+    if tw.artin_schreier_preimage(tw.Elem(base, 0, w)) is not None:
+        w = w + t1.inv()
+    c1, h = _draw(data, base, top)
+    u, _ = _draw(data, base, 1)
+    y0 = c1 * c1 * (u * u + u + w)
+    abc = (y0.num * w.den, y0.den * w.num, y0.den * w.den)
+    sieve = tw._CyclicSieve(base, abc)
+    candidates = [(c1, h)] + [_draw(data, base, top) for _ in range(3)]
+    for k, (c, h) in enumerate(candidates):
+        n, d = c.num, c.den
+        checks = sieve.checks(n, h)
+        fraction = None if checks is None else sieve.fraction(checks, d)
+        N = sieve.numerator(n, d, h)
+        assert (fraction is None) == (N is None), (y0, w, c)
+        assert k or fraction is not None, (y0, w, c)
+        if fraction is not None:
+            assert fraction == RatFunc(N, abc[2] * n * n), (y0, w, c)
+
+
+@pytest.mark.parametrize("y, n, per_denominator", [
+    # n = t1 is rejected at its own prime: v(A) = 1 against v(B n^2) = 3
+    # leaves t1^3 of C n^2 = t1^4 in the denominator
+    ("(t1^2+1)/t1", "t1", None),
+    # the known prime t1 with v(B) = 0 < v(A) = 2 rejects n = t2 once for
+    # every denominator
+    ("t1", "t2", None),
+    # the known prime t1 with v(B) = v(A) = 1 is read per denominator, and
+    # ties at the denominators prime to t1
+    ("t2^2/t1", "t2", "t1"),
+])
+def test_solve_norm_matches_the_reference_loop_per_branch(y, n, per_denominator):
+    # the numerator's checks show the branch; the search runs to bound 2
+    T = parse_tower("GF(2)(t1,t2) ; AS w: w^2+w = 1/t1")
+    y = parse_element(y, T, 0)
+    w = tw.step_defining_elem(T, 1).rep
+    sieve = tw._CyclicSieve(T, (y.rep.num * w.den, y.rep.den * w.num, y.rep.den * w.den))
+    checks = sieve.checks(parse_element(n, T, 0).rep.num, 1)
+    if per_denominator is None:
+        assert checks is None
+    else:
+        _, _, per_pair = checks
+        assert [pi for pi, *_ in per_pair] == [parse_element(per_denominator, T, 0).rep.num]
+    _assert_same_witness(y, 2)

@@ -396,8 +396,8 @@ POOL_HEIGHTS = {"GF(2)(t1,t2)": 2, "GF(3)(t)": 3, "GF(2)(t)": 4, "GF(4)(t)": 2,
 def test_height_pools_keep_their_elements_and_order(base):
     # the norm search returns the first hit in pool order, so the order
     # fixes the witness and the certificate bytes
-    ring = parse_tower(base).ring
+    tower = parse_tower(base)
     for h in range(POOL_HEIGHTS[base] + 1):
-        pool = tw._ratfuncs_built(ring, h)
+        pool = tw._ratfuncs_of_height(tower, h)
         assert [(f.num, f.den) for f in pool] == \
-            [(f.num, f.den) for f in _pool_reference(ring, h)]
+            [(f.num, f.den) for f in _pool_reference(tower.ring, h)]
