@@ -137,12 +137,12 @@ class _ExtField:
             self._inv = lambda a: exp[n - log[a]]
             self.pow = lambda a, e: exp[log[a] * e % n] if a else (0 if e else 1)
         else:
-            from .poly import _generic_pow, _upoly_divmod, _upoly_inv_mod, _upoly_mul
+            from .poly import _generic_pow, _upoly_inv_mod, _upoly_mul, _upoly_rem
             fp, modulus = _PrimeField(p), canonical_modulus(p, d)
             self.decode = lambda a: tuple(_digits(a, p, d))
             self.encode = lambda t: _code(t, p)
-            self.mul = lambda a, b: _code(_upoly_divmod(fp, _upoly_mul(
-                fp, _digits(a, p, d), _digits(b, p, d)), modulus)[1], p)
+            self.mul = lambda a, b: _code(_upoly_rem(fp, _upoly_mul(
+                fp, _digits(a, p, d), _digits(b, p, d)), modulus), p)
             self._inv = lambda a: _code(_upoly_inv_mod(fp, _digits(a, p, d), modulus), p)
             self.pow = lambda a, e: _generic_pow(a, e, 1, self.mul)
         if p == 2:
@@ -219,7 +219,7 @@ def _exp_log_tables(p: int, d: int):
     sum of two logs needs no reduction, followed by 2n + 1 zeros; log maps
     each nonzero code to its exponent and zero to 2n, so that every sum of
     logs with a zero operand lands in the zeros."""
-    from .poly import _upoly_divmod, _upoly_mul, _upoly_powmod, _upoly_trim
+    from .poly import _upoly_mul, _upoly_powmod, _upoly_rem, _upoly_trim
     fp = _PrimeField(p)
     n = p ** d - 1
     modulus = canonical_modulus(p, d)
@@ -232,7 +232,7 @@ def _exp_log_tables(p: int, d: int):
     cur = [1]
     for _ in range(n):
         exp.append(_code(cur, p))
-        cur = _upoly_divmod(fp, _upoly_mul(fp, cur, h), modulus)[1]
+        cur = _upoly_rem(fp, _upoly_mul(fp, cur, h), modulus)
     log = [2 * n] * (n + 1)
     for i, a in enumerate(exp):
         log[a] = i

@@ -7,7 +7,9 @@ infinity.  The local invariant of a symbol with slots (a, b) at a place v is
 
 read off the principal part of a * db/b at v by the residue theorem (see
 ``traced_residue``).  The pole order of a is not reduced first, because
-Tr res_v((c^p - c) db/b) = 0 for every c.
+Tr res_v((c^p - c) db/b) = 0 for every c.  ``symbol_vector`` reads the
+principal parts off the unreduced form of a * db/b, with no gcd and no
+trial division; ``local_invariant`` reads one off the reduced form.
 
 Everything here works on plain rational functions; symbol and expression
 level plumbing lives in the oracle module.
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .poly import (Poly, PolyRing, RatFunc, _powmod_poly, factor_univariate,
-                   poly_divmod_1var, poly_exact_div, poly_inv_mod, poly_valuation)
+from .poly import (Poly, PolyRing, RatFunc, _monic_den, _poly_rem, _powmod_poly,
+                   factor_univariate, poly_exact_div, poly_inv_mod, poly_valuation)
 
 
 class BackendError(ValueError):
@@ -72,17 +74,16 @@ class Place:
 INF = Place(None)
 
 
-def finite_places_of(*fracs: RatFunc) -> List[Place]:
-    """Places dividing any listed numerator or denominator."""
-    seen = {}
-    for f in fracs:
-        for part in (f.num, f.den):
-            if part.is_constant():
-                continue
-            _, factors = factor_univariate(part)
-            for pi in factors:
-                seen[Place(pi)] = True
-    return sorted(seen, key=Place.sort_key)
+def _place_orders(*polys: Poly) -> Dict[Place, int]:
+    """The places dividing the polynomials, in sort order, each with its
+    multiplicity in their product."""
+    orders: Dict[Place, int] = {}
+    for f in polys:
+        if not f.is_constant():
+            for pi, k in factor_univariate(f)[1].items():
+                place = Place(pi)
+                orders[place] = orders.get(place, 0) + k
+    return {pl: orders[pl] for pl in sorted(orders, key=Place.sort_key)}
 
 
 def valuation(x: RatFunc, place: Place) -> int:
@@ -108,7 +109,7 @@ class ResidueField:
         self.base = pi.ring.field
 
     def reduce(self, f: Poly) -> Poly:
-        return poly_divmod_1var(f, self.pi)[1]
+        return _poly_rem(f, self.pi)
 
     def pow(self, a: Poly, n: int) -> Poly:
         return _powmod_poly(a, n, self.pi)
@@ -145,16 +146,26 @@ def traced_residue(f: RatFunc, place: Place) -> int:
     GF(q) is the coefficient of t^(m deg pi - 1) in r.  At infinity only the
     proper part r / den of f has a residue: minus the coefficient of
     t^(deg den - 1) in r, the denominator being monic."""
-    field = f.ring.field
+    m = 0 if place.is_infinite else poly_valuation(f.den, place.pi)[0]
+    return _traced_residue(f.num, f.den, place, m)
+
+
+def _traced_residue(num: Poly, den: Poly, place: Place, m: int) -> int:
+    """``traced_residue`` of num / den, den monic and of valuation m at a
+    finite place, the fraction not necessarily reduced: a pole of order
+    k <= m with principal part s / pi^k gives r = s pi^(m-k), whose
+    coefficient of t^(m deg pi - 1) is s's of t^(k deg pi - 1); at infinity
+    num mod den is g (num' mod den') for the reduced num' / den' and a
+    monic g, with the same coefficient of t^(deg den - 1)."""
+    field = num.ring.field
     if place.is_infinite:
-        r = poly_divmod_1var(f.num, f.den)[1]
-        c = r.terms.get((f.den.degree_in(0) - 1,))
+        c = _poly_rem(num, den).terms.get((den.degree_in(0) - 1,))
         return 0 if c is None else field.trace_to_prime(field.neg(c))
-    m, h = poly_valuation(f.den, place.pi)
     if m == 0:
         return 0
     modulus = place.pi ** m
-    r = poly_divmod_1var(f.num * poly_inv_mod(h, modulus), modulus)[1]
+    h = poly_exact_div(den, modulus)
+    r = _poly_rem(num * poly_inv_mod(h, modulus), modulus)
     c = r.terms.get((m * place.degree - 1,))
     return 0 if c is None else field.trace_to_prime(c)
 
@@ -176,12 +187,12 @@ def _symbol_form(a: RatFunc, b: RatFunc) -> RatFunc:
     return a * (b.derivative(b.ring.variables[0]) / b)
 
 
-def support_places(a: RatFunc, b: RatFunc) -> List[Place]:
-    """Places where the invariant of (a, b) can be nonzero: poles of a,
-    zeros and poles of b, and infinity."""
-    places = finite_places_of(RatFunc(a.den, a.num.ring.one(), reduce=False), b)
-    out = [pl for pl in places]
-    out.append(INF)
+def support_places(a: RatFunc, b: RatFunc) -> Dict[Place, int]:
+    """Places where the invariant of (a, b) can be nonzero, infinity last:
+    poles of a, zeros and poles of b, and infinity, each with the valuation
+    there of D = a.den * b.num * b.den (-deg D at infinity)."""
+    out = _place_orders(a.den, b.num, b.den)
+    out[INF] = -sum(f.degree_in(0) for f in (a.den, b.num, b.den))
     return out
 
 
@@ -256,12 +267,20 @@ def index_exponent(v: InvariantVector) -> Tuple[int, int]:
 
 
 def symbol_vector(a: RatFunc, b: RatFunc, p: int) -> InvariantVector:
-    """The local invariants of (a, b) at every place of its support, with
-    a db/b formed once."""
-    form = _symbol_form(a, b)
+    """The local invariants of (a, b) at every place of its support, read
+    off a db/b = N / D unreduced: D = a.den * b.num * b.den made monic,
+    N = a.num (b.num' b.den - b.num b.den') scaled with it, and the
+    valuations of D from ``support_places``."""
+    if b.is_zero():
+        raise ValueError("the b slot of a symbol must be nonzero")
     out = InvariantVector(p)
-    for place in support_places(a, b):
-        out.add_in(place, traced_residue(form, place))
+    bn, bd = b.num, b.den
+    num = a.num * (bn.derivative(0) * bd - bn * bd.derivative(0))
+    if num.is_zero():
+        return out
+    num, den = _monic_den(num, a.den * bn * bd)
+    for place, m in support_places(a, b).items():
+        out.add_in(place, _traced_residue(num, den, place, m))
     return out
 
 
@@ -305,7 +324,7 @@ def realize_slot(b: RatFunc, targets: Dict[Place, int], p: int) -> RatFunc:
     ring = b.ring
     requirements: List[Tuple[Poly, Poly]] = []  # (place poly, residue rep)
     handled = set()
-    for place in finite_places_of(b):
+    for place in _place_orders(b.num, b.den):
         m = valuation(b, place) % p
         tgt = targets.get(place, 0) % p
         if m == 0:
@@ -337,7 +356,7 @@ def _poly_crt(pairs: List[Tuple[Poly, Poly]]) -> Poly:
         other = poly_exact_div(modulus, pi)
         inv = poly_inv_mod(other, pi)
         out = out + rep * other * inv
-    return poly_divmod_1var(out, modulus)[1]
+    return _poly_rem(out, modulus)
 
 
 def realize_pairs(vector: InvariantVector, ring: PolyRing,

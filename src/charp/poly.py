@@ -398,8 +398,8 @@ def _upoly_sub(ops, a: list, b: list) -> list:
     return _upoly_add(ops, a, [neg(y) for y in b])
 
 
-def _upoly_divmod(ops, a: list, b: list) -> Tuple[list, list]:
-    """(q, r) with a = q*b + r and deg r < deg b."""
+def _upoly_divmod(ops, a: list, b: list, quotient: bool = True) -> Tuple[Optional[list], list]:
+    """(q, r) with a = q*b + r and deg r < deg b; q is None unless ``quotient``."""
     is_zero = ops.is_zero
     if not b or is_zero(b[-1]):
         b = _upoly_trim(ops, list(b))
@@ -410,66 +410,70 @@ def _upoly_divmod(ops, a: list, b: list) -> Tuple[list, list]:
         _upoly_trim(ops, r)
     db = len(b) - 1
     if len(r) <= db:
-        return [], r
+        return ([] if quotient else None), r
     mul, sub = ops.mul, ops.sub
     inv_lead = None if b[-1] == ops.one else ops.inv(b[-1])
     tail = [(j, c) for j, c in enumerate(b[:db]) if not is_zero(c)]
-    q = [ops.zero] * (len(r) - db)
-    for k in range(len(q) - 1, -1, -1):
+    q = [ops.zero] * (len(r) - db) if quotient else None
+    for k in range(len(r) - db - 1, -1, -1):
         c = r[k + db]
         if is_zero(c):
             continue
         if inv_lead is not None:
             c = mul(c, inv_lead)
-        q[k] = c
+        if quotient:
+            q[k] = c
         for j, bj in tail:
             r[k + j] = sub(r[k + j], mul(c, bj))
     del r[db:]
     return q, _upoly_trim(ops, r)
 
 
+def _upoly_rem(ops, a: list, b: list) -> list:
+    """a mod b, with no quotient built."""
+    return _upoly_divmod(ops, a, b, False)[1]
+
+
 def _upoly_gcd(ops, a: list, b: list) -> list:
     """Monic gcd ([] when both are zero)."""
     a, b = _upoly_trim(ops, list(a)), _upoly_trim(ops, list(b))
     while b:
-        a, b = b, _upoly_divmod(ops, a, b)[1]
+        a, b = b, _upoly_rem(ops, a, b)
     if not a or a[-1] == ops.one:
         return a
     c = ops.inv(a[-1])
     return [ops.mul(c, x) for x in a]
 
 
-def _upoly_gcdex(ops, a: list, b: list) -> Tuple[list, list, list]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic or empty."""
+def _upoly_gcdex(ops, a: list, b: list) -> Tuple[list, list]:
+    """Extended gcd: (g, u) with u*a = g modulo b, g monic or empty.  The
+    cofactor of b, (g - u*a) / b, is never needed, so it is not tracked."""
     r0, r1 = _upoly_trim(ops, list(a)), _upoly_trim(ops, list(b))
     u0, u1 = [ops.one], []
-    v0, v1 = [], [ops.one]
     while r1:
         q, r = _upoly_divmod(ops, r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, _upoly_sub(ops, u0, _upoly_mul(ops, q, u1))
-        v0, v1 = v1, _upoly_sub(ops, v0, _upoly_mul(ops, q, v1))
     if r0:
         scale = [ops.inv(r0[-1])]
         r0 = _upoly_mul(ops, r0, scale)
         u0 = _upoly_mul(ops, u0, scale)
-        v0 = _upoly_mul(ops, v0, scale)
-    return r0, u0, v0
+    return r0, u0
 
 
 def _upoly_inv_mod(ops, a: list, m: list) -> list:
     """u with u*a = 1 modulo m and deg u < deg m; ZeroDivisionError when a
     is not a unit modulo m."""
-    g, u, _ = _upoly_gcdex(ops, _upoly_divmod(ops, a, m)[1], m)
+    g, u = _upoly_gcdex(ops, _upoly_rem(ops, a, m), m)
     if len(g) != 1:
         raise ZeroDivisionError("not invertible modulo the polynomial")
-    return _upoly_divmod(ops, u, m)[1]
+    return _upoly_rem(ops, u, m)
 
 
 def _upoly_powmod(ops, a: list, e: int, m: list) -> list:
     """a^e modulo m, for e >= 0."""
-    return _generic_pow(_upoly_divmod(ops, a, m)[1], e, [ops.one],
-                        lambda x, y: _upoly_divmod(ops, _upoly_mul(ops, x, y), m)[1])
+    return _generic_pow(_upoly_rem(ops, a, m), e, [ops.one],
+                        lambda x, y: _upoly_rem(ops, _upoly_mul(ops, x, y), m))
 
 
 def _upoly_eval(ops, a: list, x):
@@ -493,7 +497,7 @@ def _upoly_resultant(ops, f: list, g: list):
         df, dg = len(f) - 1, len(g) - 1
         if dg == 0:
             return ops.mul(res, ops.pow(g[0], df))
-        _, r = _upoly_divmod(ops, f, g)
+        r = _upoly_rem(ops, f, g)
         if not r:
             return ops.zero
         dr = len(r) - 1
@@ -545,6 +549,11 @@ def poly_divmod_1var(f: Poly, g: Poly) -> Tuple[Poly, Poly]:
         raise ValueError("univariate division on a multivariate ring")
     q, r = _upoly_divmod(ring.field.ints, f.coeffs, g.coeffs)
     return _upoly(ring, q), _upoly(ring, r)
+
+
+def _poly_rem(f: Poly, g: Poly) -> Poly:
+    """f mod g in one variable, with no quotient built."""
+    return _upoly(f.ring, _upoly_rem(f.ring.field.ints, f.coeffs, g.coeffs))
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
@@ -879,15 +888,18 @@ def _powmod_poly(base: Poly, e: int, mod: Poly) -> Poly:
     return _upoly(ring, _upoly_powmod(ring.field.ints, base.coeffs, e, mod.coeffs))
 
 
-def _random_poly(ring: PolyRing, max_deg: int, rng: random.Random) -> Poly:
+def _random_poly(ring: PolyRing, max_deg: int, rng: list) -> Poly:
     """Degree at most max_deg, the digits of each coefficient drawn low
-    first, constant term first."""
-    p, d = ring.field.p, ring.field.d
+    first, constant term first, from ``rng[0]``: a ``random.Random(0)``
+    made on the first draw of an empty ``rng``."""
+    if not rng:
+        rng.append(random.Random(0))
+    p, d, rng = ring.field.p, ring.field.d, rng[0]
     coeffs = [_code([rng.randrange(p) for _ in range(d)], p) for _ in range(max_deg + 1)]
     return _upoly(ring, _upoly_trim(ring.field.ints, coeffs))
 
 
-def _equal_degree_split(f: Poly, r: int, rng: random.Random) -> list[Poly]:
+def _equal_degree_split(f: Poly, r: int, rng: list) -> list[Poly]:
     """Split a squarefree product of irreducibles of equal degree r."""
     ring = f.ring
     field = ring.field
@@ -902,11 +914,11 @@ def _equal_degree_split(f: Poly, r: int, rng: random.Random) -> list[Poly]:
             continue
         if field.p == 2:
             # absolute trace map to GF(2), evaluated modulo f
-            t = poly_divmod_1var(u, f)[1]
+            t = _poly_rem(u, f)
             acc = t
             bits = field.d * r
             for _ in range(bits - 1):
-                t = poly_divmod_1var(t * t, f)[1]
+                t = _poly_rem(t * t, f)
                 acc = acc + t
             g = poly_gcd(f, acc)
         else:
@@ -918,7 +930,7 @@ def _equal_degree_split(f: Poly, r: int, rng: random.Random) -> list[Poly]:
             return _equal_degree_split(g, r, rng) + _equal_degree_split(h, r, rng)
 
 
-def _split_squarefree(f: Poly, rng: random.Random) -> list[Poly]:
+def _split_squarefree(f: Poly, rng: list) -> list[Poly]:
     """Distinct-degree then equal-degree factorization of a squarefree monic f."""
     ring = f.ring
     q = ring.field.order
@@ -956,7 +968,7 @@ def factor_univariate(f: Poly) -> Tuple[FFElem, Dict[Poly, int]]:
 
 
 def _factor_frozen(f: Poly) -> Tuple[FFElem, Tuple[Tuple[Poly, int], ...]]:
-    rng = random.Random(0)
+    rng: list = []  # the seeded stream, made on its first draw
     lc = f.leading_coeff()
     f = _normalize_lead(f)
     factors: Dict[Poly, int] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .ffield import MAX_FIELD_SIZE, FFElem, FiniteField, _least_factor
 from .poly import Poly, PolyRing, RatFunc
@@ -171,98 +171,105 @@ def invariant_vector_json(v) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# element parsing
+# element, symbol and expression parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^|\+|\-|\*|/|\(|\)|\[|\]|,|\{|\}))")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._scanned = (None, None)
-
-    def peek(self) -> Optional[Tuple[str, str, int]]:
-        at, tok = self._scanned
-        if at == self.pos:
-            return tok
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:].strip()
-            if rest:
-                raise ParseError("unrecognized input %r" % rest[:10], self.pos)
-            tok = None
-        elif m.group(1) is not None:
-            tok = ("int", m.group(1), m.end())
-        elif m.group(2) is not None:
-            tok = ("name", m.group(2), m.end())
-        else:
-            tok = ("op", m.group(3), m.end())
-        self._scanned = (self.pos, tok)
-        return tok
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos = tok[2]
-        return tok
-
-    def accept(self, kind: str, value: Optional[str] = None):
-        tok = self.peek()
-        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            return None
-        self.pos = tok[2]
-        return tok
-
-    def expect(self, kind: str, value: Optional[str] = None):
-        tok = self.accept(kind, value)
-        if tok is None:
-            raise ParseError("expected %s" % (value or kind), self.pos)
-        return tok
-
-    def at_end(self) -> bool:
-        return self.peek() is None
-
+# One match per token, in these groups: an integer, the subscript ``_`` right
+# after a ``)`` (so ``)_p`` never scans as a name ``_p``), a name, an
+# operator, or one character of unrecognized input.  ``findall`` gives each token as the tuple
+# of the five groups, the token's own group nonempty.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(?<=\))(_)|([A-Za-z_]\w*)|([-+*/^()\[\],{}])|(\S))")
+_INT, _SUB, _NAME, _OP, _BAD = range(5)
+_END = ("",) * 5  # the token after the last one
 
 _RING_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
+def _name_table(tower, level: int) -> dict:
+    """The values of a level's names: variables as polynomials, generators
+    as level elements, and ``g`` over GF(p^d), d > 1."""
+    from . import towers as tw
+    ring = tower.ring
+    names = {name: ring.var(name) for name in ring.variables}
+    for lvl in range(1, level + 1):
+        names[tower.steps[lvl - 1].gen] = tw.lift(tw.gen_elem(tower, lvl), level)
+    if tower.base_field.d > 1:
+        names["g"] = ring.constant(tower.base_field.gen)
+    return names
+
+
 class ElementParser:
-    """Recursive-descent parser for level elements of a tower.
+    """Recursive-descent parser of one text: elements of a tower level,
+    symbols and expressions.
+
+    The text is scanned once into a token list; the grammar walks it by
+    index and compares token values.  An error sits at the end of the last
+    token read.  Unrecognized input is a token of its own, which fails at
+    the grammar's first look at it, so an error found before that look
+    keeps its place.
 
     A subexpression in the base variables, integers and the constant ``g``
     is read as a ``Poly`` with ring operations only.  It becomes a tower
     element at the first ``/`` between two polynomials (one reducing
     ``RatFunc`` construction per fraction), where it meets a generator or
-    a tower element, and at the end of ``parse_cursor``.  The normal form
+    a tower element, and at the end of ``element``.  The normal form
     is unique, so the result equals the tower arithmetic of the text.  A
     power whose exponent times its base's degree exceeds
     ``towers.MAX_POWER_DEGREE`` is a ``ParseError`` before it is computed."""
 
-    def __init__(self, tower, level: int):
+    def __init__(self, tower, level: int, text: str):
         from . import towers as tw
         self.tw = tw
         self.tower = tower
         self.level = level
-        ring = tower.ring
-        self.names = {name: ring.var(name) for name in ring.variables}
-        for lvl in range(1, level + 1):
-            gen = tower.steps[lvl - 1].gen
-            self.names[gen] = tw.lift(tw.gen_elem(tower, lvl), level)
-        if tower.base_field.d > 1:
-            self.names["g"] = ring.constant(tower.base_field.gen)
+        self.names = tw._memo(tower, ("names", level), lambda: _name_table(tower, level))
+        self.text = text
+        self.toks = _TOKEN.findall(text) + [_END]
+        self.i = 0
 
-    def parse(self, text: str):
-        cur = _Cursor(text)
-        out = self.parse_cursor(cur)
-        if not cur.at_end():
-            raise ParseError("trailing input", cur.pos)
+    def _pos(self, i: int) -> int:
+        """Where token i is read from: the end of the token before it."""
+        return [0, *(m.end() for m in _TOKEN.finditer(self.text))][i]
+
+    def _error(self, message: str = "") -> ParseError:
+        """``message`` at the current token, or the unrecognized input there."""
+        pos = self._pos(self.i)
+        if self.toks[self.i][_BAD]:
+            message = "unrecognized input %r" % self.text[pos:].strip()[:10]
+        return ParseError(message, pos)
+
+    def _expect(self, group: int, value: str = "") -> str:
+        """The current token, of ``group`` (and equal to ``value`` if given);
+        steps past it."""
+        v = self.toks[self.i][group]
+        if not v or value and v != value:
+            raise self._error("expected %s" % (value or ("int" if group == _INT else "name")))
+        self.i += 1
+        return v
+
+    def _int(self, i: int) -> int:
+        """The value of the integer token i: a ``ParseError`` at its first
+        digit when it has more digits than Python converts
+        (``sys.get_int_max_str_digits``)."""
+        digits = self.toks[i][_INT]
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError("integer of %d digits is too long" % len(digits),
+                             self._pos(i + 1) - len(digits)) from None
+
+    def _at_end(self, message: str) -> None:
+        if self.toks[self.i] is not _END:
+            raise self._error(message)
+
+    def parse(self):
+        """The whole text as an element."""
+        out = self.element()
+        self._at_end("trailing input")
         return out
 
-    def parse_cursor(self, cur: _Cursor):
-        return self._elem(self._sum(cur))
+    def element(self):
+        return self._elem(self._sum())
 
     def _elem(self, x):
         """A ``Poly``, ``RatFunc`` or element as an element of the parser's
@@ -282,156 +289,137 @@ class ElementParser:
             return _RING_OPS[name](a, b)
         return getattr(self.tw, name)(self._elem(a), self._elem(b))
 
-    def _sum(self, cur: _Cursor):
+    def _sum(self):
+        toks = self.toks
         neg = False
-        while True:
-            if cur.accept("op", "-"):
-                neg = not neg
-            elif cur.accept("op", "+"):
-                pass
-            else:
-                break
-        acc = self._product(cur)
+        while toks[self.i][_OP] in ("-", "+"):
+            neg ^= toks[self.i][_OP] == "-"
+            self.i += 1
+        acc = self._product()
         if neg:
             acc = -acc if isinstance(acc, Poly) else self.tw.neg(acc)
         while True:
-            if cur.accept("op", "+"):
-                acc = self._apply("add", acc, self._product(cur))
-            elif cur.accept("op", "-"):
-                acc = self._apply("sub", acc, self._product(cur))
-            else:
+            op = toks[self.i][_OP]
+            if op != "+" and op != "-":
                 return acc
+            self.i += 1
+            acc = self._apply("add" if op == "+" else "sub", acc, self._product())
 
-    def _product(self, cur: _Cursor):
-        acc = self._factor(cur)
+    def _product(self):
+        toks = self.toks
+        acc = self._factor()
         while True:
-            if cur.accept("op", "*"):
-                acc = self._apply("mul", acc, self._factor(cur))
-            elif cur.accept("op", "/"):
-                pos = cur.pos
-                rhs = self._factor(cur)
+            op = toks[self.i][_OP]
+            if op == "*":
+                self.i += 1
+                acc = self._apply("mul", acc, self._factor())
+            elif op == "/":
+                self.i += 1
+                at = self.i
+                rhs = self._factor()
                 if rhs.is_zero():
-                    raise ParseError("division by zero", pos)
+                    raise ParseError("division by zero", self._pos(at))
                 acc = self._apply("div", acc, rhs)
             else:
                 return acc
 
-    def _factor(self, cur: _Cursor):
-        base = self._atom(cur)
-        if cur.accept("op", "^"):
-            pos = cur.pos
-            n = _int_token(*cur.expect("int")[1:])
-            if isinstance(base, Poly):
-                degree = base.total_degree()
-            else:  # at least 1: a generator's coordinates are constants, its powers are not
-                degree = max([1] + [max(c.num.total_degree(), c.den.total_degree())
-                                    for c in self.tw._coordinates(base, 0).values()])
-            _check_power_budget(n * degree, pos)
-            return base ** n if isinstance(base, Poly) else self.tw.power(base, n)
-        return base
+    def _factor(self):
+        base = self._atom()
+        tok = self.toks[self.i]
+        if tok[_OP] != "^":
+            if tok[_BAD]:  # the first look at unrecognized input
+                raise self._error()
+            return base
+        self.i += 1
+        at = self.i
+        self._expect(_INT)
+        n = self._int(at)
+        if isinstance(base, Poly):
+            degree = base.total_degree()
+        else:  # at least 1: a generator's coordinates are constants, its powers are not
+            degree = max([1] + [max(c.num.total_degree(), c.den.total_degree())
+                                for c in self.tw._coordinates(base, 0).values()])
+        if n * degree > self.tw.MAX_POWER_DEGREE:
+            raise ParseError("power above the degree budget %d" % self.tw.MAX_POWER_DEGREE,
+                             self._pos(at))
+        return base ** n if isinstance(base, Poly) else self.tw.power(base, n)
 
-    def _atom(self, cur: _Cursor):
-        if cur.accept("op", "("):
-            inner = self._sum(cur)
-            cur.expect("op", ")")
+    def _atom(self):
+        tok = self.toks[self.i]
+        if tok[_OP] == "(":
+            self.i += 1
+            inner = self._sum()
+            self._expect(_OP, ")")
             return inner
-        tok = cur.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", cur.pos)
-        if tok[0] == "int":
-            cur.next()
-            return self.tower.ring.from_int(_int_token(*tok[1:]))
-        if tok[0] == "name":
-            cur.next()
-            el = self.names.get(tok[1])
+        if tok[_INT]:
+            self.i += 1
+            return self.tower.ring.from_int(self._int(self.i - 1))
+        if tok[_NAME]:
+            self.i += 1
+            el = self.names.get(tok[_NAME])
             if el is None:
-                raise ParseError("unknown variable %r" % tok[1], cur.pos)
+                raise ParseError("unknown variable %r" % tok[_NAME], self._pos(self.i))
             return el
-        raise ParseError("expected a value", cur.pos)
+        raise self._error("unexpected end of input" if tok is _END else "expected a value")
 
-
-def _int_token(digits: str, end: int) -> int:
-    """The value of the digit run ``digits`` that ends at ``end``: a
-    ``ParseError`` at its first digit when it has more digits than Python
-    converts (``sys.get_int_max_str_digits``)."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError("integer of %d digits is too long" % len(digits),
-                         end - len(digits)) from None
-
-
-def _check_power_budget(degree: int, pos: int) -> None:
-    """A ``ParseError`` at ``pos`` when a power of this degree (exponent times
-    its base's degree) exceeds ``towers.MAX_POWER_DEGREE``."""
-    from . import towers as tw
-    if degree > tw.MAX_POWER_DEGREE:
-        raise ParseError("power above the degree budget %d" % tw.MAX_POWER_DEGREE, pos)
+    def symbol(self):
+        """``[a, b)_p`` with an optional ``^op``: (symbol, is_op)."""
+        from .symbols import Symbol
+        self._expect(_OP, "[")
+        a = self.element()
+        self._expect(_OP, ",")
+        b = self.element()
+        self._expect(_OP, ")")
+        at = self.i
+        if not self.toks[at][_SUB]:
+            raise ParseError("expected _p after a symbol", self._pos(at))
+        self.i += 1
+        digits = self._expect(_INT)
+        if self._int(self.i - 1) != self.tower.p:
+            n = len(digits)
+            shown = digits if n <= len(str(MAX_FIELD_SIZE)) else "of %d digits" % n
+            raise ParseError("symbol prime %s does not match the field" % shown, self._pos(at))
+        tok = self.toks[self.i]
+        is_op = tok[_OP] == "^"
+        if is_op:
+            self.i += 1
+            if self._expect(_NAME) != "op":
+                raise ParseError("only ^op is allowed on symbols", self._pos(self.i))
+        elif tok[_BAD]:  # the first look at unrecognized input
+            raise self._error()
+        if b.is_zero():
+            raise ParseError("the radical slot must be nonzero", self._pos(at))
+        return Symbol(a, b), is_op
 
 
 def parse_element(text: str, tower, level: int = 0):
-    return ElementParser(tower, level).parse(text)
-
-
-# ---------------------------------------------------------------------------
-# symbols and expressions
-# ---------------------------------------------------------------------------
-
-def parse_symbol_cursor(cur: _Cursor, parser: ElementParser, p: int):
-    from .symbols import Symbol
-    cur.expect("op", "[")
-    a = parser.parse_cursor(cur)
-    cur.expect("op", ",")
-    b = parser.parse_cursor(cur)
-    cur.expect("op", ")")
-    pos = cur.pos
-    if cur.text[cur.pos:cur.pos + 1] != "_":
-        raise ParseError("expected _p after a symbol", pos)
-    cur.pos += 1
-    tok = cur.expect("int")
-    if _int_token(*tok[1:]) != p:
-        n = len(tok[1])
-        shown = tok[1] if n <= len(str(MAX_FIELD_SIZE)) else "of %d digits" % n
-        raise ParseError("symbol prime %s does not match the field" % shown, pos)
-    is_op = False
-    if cur.accept("op", "^"):
-        name = cur.expect("name")
-        if name[1] != "op":
-            raise ParseError("only ^op is allowed on symbols", cur.pos)
-        is_op = True
-    if b.is_zero():
-        raise ParseError("the radical slot must be nonzero", pos)
-    return Symbol(a, b), is_op
+    return ElementParser(tower, level, text).parse()
 
 
 def parse_symbol(text: str, tower, level: int = 0):
-    parser = ElementParser(tower, level)
-    cur = _Cursor(text)
-    sym, is_op = parse_symbol_cursor(cur, parser, tower.p)
-    if not cur.at_end():
-        raise ParseError("trailing input after symbol", cur.pos)
-    return sym, is_op
+    parser = ElementParser(tower, level, text)
+    out = parser.symbol()
+    parser._at_end("trailing input after symbol")
+    return out
 
 
 def parse_expr(text: str, tower, level: int = 0):
     """An expression: symbols joined by ``*``, or ``1`` for the empty one.
     ``^op`` entries expand into p-1 positive copies."""
     from .symbols import BrauerExpr
-    parser = ElementParser(tower, level)
-    cur = _Cursor(text)
-    entries = []
-    if cur.accept("int", "1"):
-        if not cur.at_end():
-            raise ParseError("trailing input after the empty expression", cur.pos)
+    parser = ElementParser(tower, level, text)
+    if parser.toks[0][_INT] == "1":
+        parser.i = 1
+        parser._at_end("trailing input after the empty expression")
         return BrauerExpr(tower, level, [])
+    entries = []
     while True:
-        sym, is_op = parse_symbol_cursor(cur, parser, tower.p)
+        sym, is_op = parser.symbol()
         entries.extend([sym] * ((tower.p - 1) if is_op else 1))
-        if cur.accept("op", "*"):
-            continue
-        if not cur.at_end():
-            raise ParseError("expected * between symbols", cur.pos)
-        return BrauerExpr(tower, level, entries)
+        if parser.toks[parser.i][_OP] != "*":
+            parser._at_end("expected * between symbols")
+            return BrauerExpr(tower, level, entries)
+        parser.i += 1
 
 
 # ---------------------------------------------------------------------------

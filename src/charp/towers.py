@@ -26,9 +26,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ffield import FiniteField, _PrimeField
 from .poly import (Poly, PolyRing, RatFunc, _coprime, _generic_pow, _memo, _normalize_lead,
-                   _powmod_poly, factor_univariate, poly_divmod_1var, poly_exact_div,
-                   poly_gcd, poly_inv_mod, poly_valuation, _solve_linear, _upoly_divmod,
-                   _upoly_inv_mod, _upoly_mul, _upoly_resultant, _upoly_trim)
+                   _poly_rem, _powmod_poly, factor_univariate, poly_divmod_1var,
+                   poly_exact_div, poly_gcd, poly_inv_mod, poly_valuation, _solve_linear,
+                   _upoly_inv_mod, _upoly_mul, _upoly_rem, _upoly_resultant, _upoly_trim)
 
 MAX_DEPTH = 8
 MAX_TOTAL_DEGREE = 256
@@ -198,7 +198,7 @@ class LevelOps:
         if self.level == 0:
             return a * b
         low = self._lower
-        prod = _upoly_divmod(low, _upoly_mul(low, a, b), self.minpoly)[1]
+        prod = _upoly_rem(low, _upoly_mul(low, a, b), self.minpoly)
         return tuple(prod) + (low.zero,) * (self.tower.p - len(prod))
 
     def inv(self, a):
@@ -613,9 +613,9 @@ def _leading_digit(x: RatFunc, pi: Poly, mult: int) -> Poly:
     den = x.den
     for _ in range(mult):
         den = poly_exact_div(den, pi)
-    num_red = poly_divmod_1var(x.num, pi)[1]
+    num_red = _poly_rem(x.num, pi)
     inv = poly_inv_mod(den, pi)
-    return poly_divmod_1var(num_red * inv, pi)[1]
+    return _poly_rem(num_red * inv, pi)
 
 
 def _residue_pth_root(pi: Poly, rep: Poly) -> Poly:

@@ -84,6 +84,21 @@ def test_factor_deterministic_under_seed():
     assert factor_univariate(f) == factor_univariate(f)
 
 
+def test_factor_seeds_its_stream_on_the_first_draw(monkeypatch):
+    # only the equal-degree split draws, so a factorization with nothing to
+    # split builds no random.Random; one that splits builds one, seeded 0
+    made = []
+    real = random.Random
+    monkeypatch.setattr(random, "Random", lambda seed: made.append(seed) or real(seed))
+    R = ring2()
+    t, one = R.var("t"), R.one()
+    assert factor_univariate(t * t + t + one)[1] == {t * t + t + one: 1}
+    assert factor_univariate((t * t + t + one) ** 3 * t ** 2)[1] == {t: 2, t * t + t + one: 3}
+    assert made == []
+    assert list(factor_univariate(t * t + t)[1].items()) == [(t + one, 1), (t, 1)]
+    assert made == [0]
+
+
 def test_pth_root_examples():
     R = ring2()
     t = R.var("t")

@@ -133,6 +133,28 @@ def test_expression_error_message_and_position(f2t):
     assert err.value.pos == 10
 
 
+def test_symbol_subscript_may_be_spaced_after_the_underscore(f2t):
+    assert parse_symbol("[1, t)_ 2", f2t) == parse_symbol("[1, t)_2", f2t)
+
+
+@pytest.mark.parametrize("parse, text, message, pos", [
+    (parse_symbol, "[1, t) _2", "expected _p after a symbol", 6),
+    # ")_" is a subscript only after a symbol's slots; in an element it is trailing
+    (parse_element, "(t)_2", "trailing input", 3),
+    (parse_element, "t + $", "unrecognized input '$'", 3),
+    # "_2p" is a subscript, an int and a name, not the name "_2p"
+    (parse_expr, "[1, t)_2p * [t, 1)_2", "expected * between symbols", 8),
+    # unrecognized input fails at the first look at it, before the zero divisor
+    (parse_element, "1/(t-t)$", "unrecognized input '$'", 7),
+    # an error found before that look keeps its place
+    (parse_element, "(t+1)^100000$", "power above the degree budget %d" % tw.MAX_POWER_DEGREE, 6),
+])
+def test_scan_edge_messages_and_positions(f2t, parse, text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text, f2t)
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
+
+
 @pytest.mark.parametrize("text, message, pos", [
     # a step body's error counts from the start of the tower text
     ("GF(2)(t) ; AS i: i^2+i = 1/(t-t)", "division by zero", 27),

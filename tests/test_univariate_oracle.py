@@ -162,9 +162,11 @@ def test_gcd_divides_and_is_a_combination(F, data):
     assert g.leading_coeff() == F.one
     for x in (a, b):
         assert poly_divmod_1var(x, g)[1].is_zero()
-    gd, u, v = _upoly_gcdex(F, _dense(a), _dense(b))
+    gd, u = _upoly_gcdex(F, _dense(a), _dense(b))
     assert _poly(R, gd) == g
-    assert _poly(R, u) * a + _poly(R, v) * b == g
+    # u*a + v*b = g for some v: b divides g - u*a (and g - u*a = 0 when b = 0)
+    rest = g - _poly(R, u) * a
+    assert rest.is_zero() if b.is_zero() else poly_divmod_1var(rest, b)[1].is_zero()
 
 
 @pytest.mark.parametrize("F", EXT_FIELDS, ids=lambda F: "GF(%d)" % F.order)
