@@ -9,7 +9,10 @@ read off the principal part of a * db/b at v by the residue theorem (see
 ``traced_residue``).  The pole order of a is not reduced first, because
 Tr res_v((c^p - c) db/b) = 0 for every c.  ``symbol_vector`` reads the
 principal parts off the unreduced form of a * db/b, with no gcd and no
-trial division; ``local_invariant`` reads one off the reduced form.
+trial division: at a place t - alpha of degree one by the shift
+t = alpha + s (``_degree_one_residue``), at the other places through
+pi^m as ``traced_residue`` does.  ``local_invariant`` reads one off the
+reduced form, always through pi^m.
 
 Everything here works on plain rational functions; symbol and expression
 level plumbing lives in the oracle module.
@@ -164,8 +167,8 @@ def _traced_residue(num: Poly, den: Poly, place: Place, m: int) -> int:
     if m == 0:
         return 0
     modulus = place.pi ** m
-    h = poly_exact_div(den, modulus)
-    r = _poly_rem(num * poly_inv_mod(h, modulus), modulus)
+    inv = poly_inv_mod(poly_exact_div(den, modulus), modulus)
+    r = _poly_rem(_poly_rem(num, modulus) * inv, modulus)
     c = r.terms.get((m * place.degree - 1,))
     return 0 if c is None else field.trace_to_prime(c)
 
@@ -280,7 +283,52 @@ def symbol_vector(a: RatFunc, b: RatFunc, p: int) -> InvariantVector:
         return out
     num, den = _monic_den(num, a.den * bn * bd)
     for place, m in support_places(a, b).items():
-        out.add_in(place, _traced_residue(num, den, place, m))
+        if place.pi is not None and len(place.pi.coeffs) == 2:
+            out.add_in(place, _degree_one_residue(num, den, place.pi, m))
+        else:
+            out.add_in(place, _traced_residue(num, den, place, m))
+    return out
+
+
+def _degree_one_residue(num: Poly, den: Poly, pi: Poly, m: int) -> int:
+    """``_traced_residue`` at a place pi = t - alpha of multiplicity m in
+    den, by the shift t = alpha + s: the residue is the coefficient of
+    s^(m-1) in num(alpha + s) / h, h = den(alpha + s) / s^m, taken from
+    the first m Taylor coefficients of num and those m, ..., 2m - 1 of den
+    by one power-series division."""
+    field = num.ring.field
+    ops = field.ints
+    alpha = ops.neg(pi.coeffs[0])
+    n = _taylor(ops, num.coeffs, alpha, 0, m)
+    h = _taylor(ops, den.coeffs, alpha, m, 2 * m)
+    inv, mul, sub = ops.inv(h[0]), ops.mul, ops.sub
+    c = []
+    for k in range(m):
+        acc = n[k]
+        for j in range(1, k + 1):
+            acc = sub(acc, mul(h[j], c[k - j]))
+        c.append(mul(acc, inv))
+    return field.trace_to_prime(ops.decode(c[-1]))
+
+
+def _taylor(ops, a: list, x, lo: int, hi: int) -> list:
+    """The coefficients of s^lo, ..., s^(hi-1) in a(x + s), a low degree
+    first: a's own at x = 0, else by hi synthetic divisions by t - x (the
+    Horner rule of ``_upoly_eval``, keeping its partial sums as the
+    quotient)."""
+    if not x:
+        return a[lo:hi] + [0] * (hi - max(lo, len(a)))
+    add, mul, out = ops.add, ops.mul, []
+    a = a[::-1]
+    for k in range(hi):
+        q, acc = [], ops.zero
+        for c in a:
+            acc = add(mul(acc, x), c)
+            q.append(acc)
+        r = q.pop() if q else ops.zero
+        if k >= lo:
+            out.append(r)
+        a = q
     return out
 
 

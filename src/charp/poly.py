@@ -41,7 +41,7 @@ inverses, norms) and for evaluations at elements of its own level.
 ``_solve_linear``, the only Gaussian elimination, runs over the same field
 objects.  ``_generic_pow`` is the one binary-power loop: the kernel's
 powers modulo a polynomial, field powers above the table limit, ``Poly``
-and tower powers all go through it.
+powers other than c t^k, and tower powers all go through it.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
+        c = self.coeffs
+        if c and not any(c[:-1]):  # (c t^k)^e = c^e t^(k e), with no product
+            return _upoly(self.ring, [0] * (len(c) - 1) * e + [self.ring.field.ints.pow(c[-1], e)])
         return _generic_pow(self, e, self.ring.one(), operator.mul)
 
     def __eq__(self, other) -> bool:

@@ -65,6 +65,8 @@ class Rationalization:
         x = tw.rebind(x, self.source)
         if x.level > self.source_level:
             raise ValueError("element lives above the rationalized level")
+        if not self.source_level:
+            return x.rep  # the level-0 presentation is the identity
         return self._fwd_rep(x.rep, x.level)
 
     def _fwd_rep(self, rep, level: int) -> RatFunc:

@@ -368,9 +368,10 @@ def wp(a: Elem) -> Elem:
 def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
     """Extend a tower by one validated step.
 
-    ``data`` is the defining element, at or below the tower top.  A step
-    is degenerate exactly when ``artin_schreier_preimage`` (artin_schreier)
-    or ``pth_root_in_level`` (insep_root) finds one; degenerate steps are
+    ``data`` is the defining element, at or below the tower top; ``rebind``
+    refuses one above it with a ValueError.  A step is degenerate exactly
+    when ``artin_schreier_preimage`` (artin_schreier) or
+    ``pth_root_in_level`` (insep_root) finds one; degenerate steps are
     rejected with the reason in the exception message.
     """
     if tower.depth >= MAX_DEPTH:
@@ -381,20 +382,14 @@ def make_step(tower: FieldTower, kind: str, gen: str, data) -> FieldTower:
         raise StepError("generator name 'g' is reserved for the constant field generator")
     p = tower.p
     if kind == "artin_schreier":
-        a = rebind(data, tower)
-        if a.level > tower.depth:
-            raise StepError("defining element lives above the tower top")
-        a = lift(a, tower.depth)
+        a = lift(rebind(data, tower), tower.depth)
         hit = artin_schreier_preimage(a)
         if hit is not None:
             raise StepError(
                 "degenerate step: defining element equals w^%d - w for w = %r" % (p, hit))
         payload = a.rep
     elif kind == "insep_root":
-        b = rebind(data, tower)
-        if b.level > tower.depth:
-            raise StepError("radicand lives above the tower top")
-        b = lift(b, tower.depth)
+        b = lift(rebind(data, tower), tower.depth)
         if b.is_zero():
             raise StepError("degenerate step: radicand is zero")
         root = pth_root_in_level(b)

@@ -6,7 +6,7 @@ from conftest import rand_ratfunc
 from charp.ffield import FiniteField
 from charp.invariants import (INF, InvariantVector, Place, RealizeError,
                               index_exponent, local_invariant, realize_pairs,
-                              symbol_vector, traced_residue, valuation)
+                              support_places, symbol_vector, traced_residue, valuation)
 from charp.poly import PolyRing, RatFunc
 from charp.textform import format_invariant_vector
 
@@ -71,6 +71,30 @@ def test_residue_at_higher_degree_place():
     assert traced_residue(RatFunc(pi.derivative(0), pi), place) == 2
     assert traced_residue(RatFunc(t, pi), place) == 1
     assert traced_residue(RatFunc(R.one(), pi), place) == 0
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 2)])
+def test_degree_one_places_match_the_reduced_form(p, d):
+    """``symbol_vector`` takes a place t + c by the shift t = -c + s; at
+    multiplicities 1, p, p + 1 and 2p + 1 in D = a.den * b.num * b.den,
+    split over the three factors so that N also vanishes at the root in
+    the unreduced form, each entry is ``local_invariant`` there."""
+    R = ring(p, d)
+    t, elems = R.var("t"), list(R.field.elements())
+    u = t * t + R.constant(R.field.gen)
+    nonzero = 0
+    for c, c2 in zip(elems[:3], elems[1:4]):
+        pi, other = t + R.constant(c), t + R.constant(c2)
+        for m in (1, p, p + 1, 2 * p + 1):
+            for i, j in ((m, 0), (0, m), (1, m - 1), (m // 2, m - m // 2)):
+                for a, b in ((RatFunc(u, pi ** i), RatFunc(pi ** j * other, R.one())),
+                             (RatFunc(u, pi ** i), RatFunc(other, pi ** j))):
+                    assert support_places(a, b)[Place(pi)] == m
+                    v = symbol_vector(a, b, p)
+                    for place in support_places(a, b):
+                        assert v.entries.get(place, 0) == local_invariant(a, b, place)
+                    nonzero += bool(v.entries.get(Place(pi)))
+    assert nonzero
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])

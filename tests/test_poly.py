@@ -189,6 +189,19 @@ def test_pth_root_inverts_pth_power():
         assert (x * x).pth_root() == x
 
 
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_monomial_powers_equal_repeated_products(p, d):
+    R = PolyRing(FiniteField(p, d), ["t"])
+    for c in list(R.field.elements())[1:]:
+        for k in range(3):
+            f = Poly(R, {(k,): c})
+            prod = R.one()
+            for e in range(6):
+                assert f ** e == prod
+                prod = prod * f
+    assert R.zero() ** 0 == R.one() and R.zero() ** 3 == R.zero()
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -142,3 +142,20 @@ def test_base_variable_g_is_renamed_over_a_larger_constant_field():
     assert rz.backward(rz.forward(x)) == x
     vector = expr_invariants(parse_expr("[i*g, g^2+g+1)_2", T, 1))
     assert format_invariant_vector(vector) == "{(g'+g): 1/2, inf: 1/2}"
+
+
+def test_level_zero_forward_is_the_identity():
+    """Over a univariate base the level-0 presentation maps each element
+    to its own reduced fraction; an element of another tower is still
+    refused by the rebind check."""
+    T = parse_tower("GF(3)(t)")
+    rz = rationalize_level(T, 0)
+    x = parse_element("(t^2+2)/(t+1)^3", T, 0)
+    assert rz.forward(x) == x.rep and rz.forward(x).ring is rz.ring
+    assert rz.backward(rz.forward(x)) == x
+    above = parse_tower("GF(3)(t) ; ROOT s: s^3 = t")
+    assert rz.forward(parse_element("(t^2+2)/(t+1)^3", above, 0)) == x.rep
+    with pytest.raises(ValueError, match="too shallow"):
+        rz.forward(tw.gen_elem(above, 1))
+    with pytest.raises(ValueError, match="differs"):
+        rz.forward(parse_element("u+1", parse_tower("GF(3)(u)"), 0))

@@ -401,3 +401,40 @@ def test_height_pools_keep_their_elements_and_order(base):
         pool = tw._ratfuncs_of_height(tower, h)
         assert [(f.num, f.den) for f in pool] == \
             [(f.num, f.den) for f in _pool_reference(tower.ring, h)]
+
+
+def test_make_step_refusals_pin_their_messages(f2t, monkeypatch):
+    """Each refusal of ``make_step`` names its reason."""
+    t = tw.var_elem(f2t, "t")
+    T = tw.make_step(f2t, "insep_root", "s", t)
+    with pytest.raises(tw.StepError, match="^generator name 's' already in use$"):
+        tw.make_step(T, "artin_schreier", "s", tw.rebind(t, T))
+    with pytest.raises(tw.StepError, match="^generator name 't' already in use$"):
+        tw.make_step(f2t, "insep_root", "t", t)
+    f4t = tw.FieldTower(FiniteField(2, 2), ["t"])
+    with pytest.raises(tw.StepError, match="^generator name 'g' is reserved for the "
+                                           "constant field generator$"):
+        tw.make_step(f4t, "insep_root", "g", tw.var_elem(f4t, "t"))
+    with pytest.raises(tw.StepError, match="^degenerate step: radicand is zero$"):
+        tw.make_step(f2t, "insep_root", "r", tw.int_elem(f2t, 0, 0))
+    # an element above the tower top is refused by rebind, for both kinds
+    s = tw.gen_elem(T, 1)
+    for kind in ("artin_schreier", "insep_root"):
+        with pytest.raises(ValueError, match="^target tower is too shallow$"):
+            tw.make_step(f2t, kind, "r", s)
+    # GF(257)(t) admits no step at all: degree 257 > 256
+    f257 = tw.FieldTower(FiniteField(257), ["t"])
+    with pytest.raises(tw.StepError, match=r"^tower degree limit \(256\) exceeded$"):
+        tw.make_step(f257, "insep_root", "r", tw.var_elem(f257, "t"))
+    monkeypatch.setattr(tw, "MAX_DEPTH", 1)
+    with pytest.raises(tw.StepError, match=r"^tower nesting depth limit \(1\) reached$"):
+        tw.make_step(T, "insep_root", "r", tw.add(tw.rebind(t, T), tw.int_elem(T, 0, 1)))
+
+
+def test_inverse_of_zero_names_its_level(f2t):
+    T = tw.make_step(f2t, "insep_root", "s", tw.var_elem(f2t, "t"))
+    one = tw.int_elem(T, 0, 1)
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero in the base field$"):
+        tw.div(one, tw.int_elem(T, 0, 0))
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero at level 1$"):
+        tw.div(tw.lift(one, 1), tw.int_elem(T, 1, 0))
