@@ -8,8 +8,8 @@ as long):
     python tests/line_map.py -k towers  # extra arguments go to pytest
 
 It runs pytest in this process under ``sys.settrace``, recording the lines
-executed in ``src/charp``, then prints, per function, the executable lines
-that never ran (the lines of its code object, nested code excluded), and
+executed in ``src/charp``, then prints the executable lines that never
+ran, each under the outermost function (or module) whose code runs it, and
 last the count of executable lines reached.  Tests that start a fresh
 interpreter are not traced, so the true share is a little higher.
 """
@@ -24,8 +24,8 @@ SRC = os.path.join(ROOT, "src", "charp")
 
 
 def _code_lines(code, out):
-    """(qualified name, line) for every executable line of code and of the
-    code objects nested in it."""
+    """Map each executable line of code, and of the code objects nested in
+    it, to the qualified name of the outermost of them that runs it."""
     for _, _, line in code.co_lines():
         if line is not None:
             out.setdefault(line, getattr(code, "co_qualname", code.co_name))

@@ -48,9 +48,10 @@ def test_generator_g_is_reserved_over_extended_constants(f2t, f4t):
     a variable or generator named g would make printing ambiguous."""
     t = tw.var_elem(f4t, "t")
     inv_t = tw.div(tw.int_elem(f4t, 0, 1), t)
-    with pytest.raises(tw.StepError, match="'g'"):
+    reserved = "^generator name 'g' is reserved for the constant field generator$"
+    with pytest.raises(tw.StepError, match=reserved):
         tw.make_step(f4t, "artin_schreier", "g", inv_t)
-    with pytest.raises(tw.StepError, match="'g'"):
+    with pytest.raises(tw.StepError, match=reserved):
         tw.make_step(f4t, "insep_root", "g", t)
     with pytest.raises(ValueError, match="'g'"):
         tw.FieldTower(FiniteField(2, 2), ["g"])
@@ -299,7 +300,7 @@ def test_multivariate_p_independence():
 def test_tower_depth_limit():
     variables = ["t%d" % k for k in range(1, 10)]
     deep = tw.FieldTower(FiniteField(2), variables)
-    with pytest.raises(tw.StepError):
+    with pytest.raises(tw.StepError, match=r"^tower nesting depth limit \(8\) reached$"):
         for name in variables:
             deep = tw.make_step(deep, "insep_root", "r_" + name,
                                 tw.var_elem(deep, name, deep.depth))
@@ -403,7 +404,7 @@ def test_height_pools_keep_their_elements_and_order(base):
             [(f.num, f.den) for f in _pool_reference(tower.ring, h)]
 
 
-def test_make_step_refusals_pin_their_messages(f2t, monkeypatch):
+def test_make_step_refusals_pin_their_messages(f2t):
     """Each refusal of ``make_step`` names its reason."""
     t = tw.var_elem(f2t, "t")
     T = tw.make_step(f2t, "insep_root", "s", t)
@@ -411,10 +412,6 @@ def test_make_step_refusals_pin_their_messages(f2t, monkeypatch):
         tw.make_step(T, "artin_schreier", "s", tw.rebind(t, T))
     with pytest.raises(tw.StepError, match="^generator name 't' already in use$"):
         tw.make_step(f2t, "insep_root", "t", t)
-    f4t = tw.FieldTower(FiniteField(2, 2), ["t"])
-    with pytest.raises(tw.StepError, match="^generator name 'g' is reserved for the "
-                                           "constant field generator$"):
-        tw.make_step(f4t, "insep_root", "g", tw.var_elem(f4t, "t"))
     with pytest.raises(tw.StepError, match="^degenerate step: radicand is zero$"):
         tw.make_step(f2t, "insep_root", "r", tw.int_elem(f2t, 0, 0))
     # an element above the tower top is refused by rebind, for both kinds
@@ -426,9 +423,6 @@ def test_make_step_refusals_pin_their_messages(f2t, monkeypatch):
     f257 = tw.FieldTower(FiniteField(257), ["t"])
     with pytest.raises(tw.StepError, match=r"^tower degree limit \(256\) exceeded$"):
         tw.make_step(f257, "insep_root", "r", tw.var_elem(f257, "t"))
-    monkeypatch.setattr(tw, "MAX_DEPTH", 1)
-    with pytest.raises(tw.StepError, match=r"^tower nesting depth limit \(1\) reached$"):
-        tw.make_step(T, "insep_root", "r", tw.add(tw.rebind(t, T), tw.int_elem(T, 0, 1)))
 
 
 def test_inverse_of_zero_names_its_level(f2t):
